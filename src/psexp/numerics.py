@@ -3,8 +3,13 @@
 Notation follows the classical conventions: e(y) = exp(2*pi*i*y), psi(y) =
 {y} - 1/2, and the phase of interest is the fractional part of t * n^c for
 integer n.  The fractional part is the only thing trig functions ever see, so
-large arguments never reach sin/cos; accuracy is delegated to the pair
-arithmetic in ddmath, which resolves {t n^c} to ~1e-10 while |t n^c| < 2^70.
+large arguments never reach sin/cos.  phase_mod1_vec (and phase_mod1, its
+one-element case) take t * n^c as a pair from ddmath.dd_scaled_pow: one
+double-double power per sparse anchor, then a local binomial expansion per
+element, with the anchor width set by the error budget and |t| n^c.  The
+documented per-phase error is PHASE_BUDGET = 1e-9 while |t n^c| < 2^70; the
+kernel stays within ~1e-12 of mpmath while |t n^c| <= 2^53 and within ~1e-10
+up to the cap (measured: 9e-14 and 1.4e-11).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .ddmath import DD
 from .errors import PrecisionError, PreconditionError, ScaleError
 
 PHASE_CAP = 2.0 ** 70       # |t * n^c| must stay under this
+PHASE_BUDGET = 1e-9         # documented |{t n^c}| error per phase evaluation
 T_CAP = 1.0e6               # |t| cap for phase evaluation
 _FRAC_CAP = 2.0 ** 100      # pair magnitude beyond which {x} is unresolvable
 
@@ -160,30 +166,34 @@ def _check_phase_args(t: float, c: float) -> None:
 
 
 def phase_mod1(t: float, n: int, c: float) -> float:
-    """{t * n^c} for integer n >= 1, via pair arithmetic.
+    """{t * n^c} for integer n >= 1: phase_mod1_vec on one element.
 
     Raises PrecisionError once |t| * n^c reaches 2^70, where the pair can no
     longer pin the fractional part to the documented 1e-9.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
-    _check_phase_args(float(t), float(c))
-    vhi, vlo = dm.dd_mul_d(*dm.dd_pow_int(np.int64(n), float(c)), float(t))
-    if abs(float(vhi)) >= PHASE_CAP:
-        raise PrecisionError(
-            f"precision: |t * n^c| ~ {float(vhi):.3e} >= 2^70 for t={t}, n={n}, c={c}")
-    return _wrap_unit(float(dm.dd_to_float(*dm.dd_frac(vhi, vlo))))
+    try:
+        return float(phase_mod1_vec(t, np.array([n], dtype=np.int64), c)[0])
+    except PrecisionError as exc:
+        raise PrecisionError(f"{exc} for t={t}, n={n}, c={c}") from None
 
 
 def phase_mod1_vec(t: float, n: np.ndarray, c: float) -> np.ndarray:
-    """Vectorized {t * n^c} over an integer array n (same cap semantics)."""
+    """{t * n^c} over an integer array n, from the anchored kernel.
+
+    Each element is within PHASE_BUDGET of the exact value (see
+    ddmath.dd_scaled_pow for the budget actually spent) and does not depend
+    on the other elements.  Raises PrecisionError once max |t| * n^c reaches
+    PHASE_CAP = 2^70.
+    """
     _check_phase_args(float(t), float(c))
     n = np.asarray(n)
     if n.size == 0:
         return np.zeros(0)
     if np.any(n < 1):
         raise PreconditionError("n must contain positive integers only")
-    vhi, vlo = dm.dd_mul_d(*dm.dd_pow_int(n.astype(np.int64), float(c)), float(t))
+    vhi, vlo = dm.dd_scaled_pow(n.astype(np.int64), float(c), float(t))
     peak = float(np.max(np.abs(vhi)))
     if peak >= PHASE_CAP:
         raise PrecisionError(f"precision: max |t * n^c| ~ {peak:.3e} >= 2^70")

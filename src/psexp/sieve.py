@@ -197,22 +197,30 @@ def _exact_integer_power(m: int, gamma: float):
     return None
 
 
-def _ceil_certified(m: int, gamma: float) -> int:
-    """ceil(m^gamma), certified.  Escalates precision near integers."""
+_CERTIFY_BITS = (80, 160, 320, 640, 1280, 2048)     # mpmath precision ladder
+
+
+def _certified_floor_frac(m: int, gamma: float):
+    """(floor(m^gamma), {m^gamma}), certified; escalates precision near integers.
+
+    {m^gamma} is 0.0 exactly when m^gamma is an integer.  Raises BoundaryError
+    when m^gamma is still too close to an integer to decide at the last step.
+    """
     import mpmath
 
     exact = _exact_integer_power(m, gamma)
     if exact is not None:
-        return exact
-    for prec in (80, 160, 320, 640, 1280, 2048):
+        return exact, 0.0
+    for prec in _CERTIFY_BITS:
         with mpmath.workprec(prec):
             y = mpmath.mpf(m) ** mpmath.mpf(gamma)
-            k = mpmath.nint(y)
+            fl = mpmath.floor(y)
+            f = y - fl
             err = abs(y) * mpmath.mpf(2.0) ** (8 - prec)
-            if abs(y - k) > err:
-                return int(mpmath.ceil(y))
+            if f > err and (1 - f) > err:
+                return int(fl), float(f)
     raise BoundaryError(
-        f"boundary: cannot certify ceil({m}^{gamma}) at 2048 bits")
+        f"boundary: cannot certify floor({m}^{gamma}) at {_CERTIFY_BITS[-1]} bits")
 
 
 def is_ps_prime(p: int, gamma: float) -> bool:
@@ -228,7 +236,9 @@ def is_ps_prime(p: int, gamma: float) -> bool:
         raise PreconditionError(f"need 0 < gamma <= 1, got {gamma}")
     if gamma == 1.0:
         return True
-    return _ceil_certified(int(p) + 1, gamma) - _ceil_certified(int(p), gamma) >= 1
+    fl0, f0 = _certified_floor_frac(int(p), gamma)
+    fl1, f1 = _certified_floor_frac(int(p) + 1, gamma)
+    return (fl1 + (f1 > 0.0)) - (fl0 + (f0 > 0.0)) >= 1
 
 
 def ps_mask(n: np.ndarray, gamma: float) -> np.ndarray:
@@ -248,8 +258,8 @@ def ps_mask(n: np.ndarray, gamma: float) -> np.ndarray:
     if gamma == 1.0:
         return np.ones(n.shape, dtype=bool)
 
-    y1h, y1l = dm.dd_pow_int(n, gamma)
-    y2h, y2l = dm.dd_pow_int(n + 1, gamma)
+    y1h, y1l = dm.dd_scaled_pow(n, gamma, 1.0)
+    y2h, y2l = dm.dd_scaled_pow(n + 1, gamma, 1.0)
     f1h, f1l = dm.dd_frac(y1h, y1l)
     f2h, f2l = dm.dd_frac(y2h, y2l)
     d1 = np.minimum(f1h + f1l, 1.0 - (f1h + f1l))

@@ -2,9 +2,9 @@
 
 Everything here is a finite complex sum over primes or integers with phases
 e(t n^c + h n^gamma + k n / d).  The fractional parts come from numerics
-(pair arithmetic, ~1e-10 per term), accumulation is Neumaier-compensated,
-and ranges are processed in fixed-size blocks combined in index order, so
-repeated runs are bit-identical.
+(anchored pair arithmetic, within PHASE_BUDGET per term), accumulation is
+Neumaier-compensated, and ranges are processed in fixed-size blocks combined
+in index order, so repeated runs are bit-identical.
 
 The decomposition engine evaluates pi_gamma, Gamma_1 and Gamma_2 from shared
 per-prime fractional parts; the bracket identity
@@ -26,10 +26,9 @@ import numpy as np
 
 from . import sieve
 from .errors import PrecisionError, PreconditionError
-from .numerics import Parameters, e_of_frac_vec, phase_mod1_vec
+from .numerics import PHASE_BUDGET, Parameters, e_of_frac_vec, phase_mod1_vec
 
 BLOCK = 1 << 16
-PHASE_BUDGET = 1e-9         # documented |{t n^c}| error per phase evaluation
 _NEAR_INT = 1e-9            # fractional parts closer than this get certified
 
 
@@ -130,31 +129,13 @@ def pi_gamma_sum(params: Parameters) -> SumReport:
 # the Gamma_1 + Gamma_2 decomposition
 # ---------------------------------------------------------------------------
 
-def _certified_floor_frac(m: int, gamma: float):
-    """(floor(m^gamma), {m^gamma}) certified by precision escalation."""
-    import mpmath
-
-    exact = sieve._exact_integer_power(m, gamma)
-    if exact is not None:
-        return exact, 0.0
-    for prec in (80, 160, 320, 640, 1280, 2048):
-        with mpmath.workprec(prec):
-            y = mpmath.mpf(m) ** mpmath.mpf(gamma)
-            fl = mpmath.floor(y)
-            f = y - fl
-            err = abs(y) * mpmath.mpf(2.0) ** (8 - prec)
-            if f > err and (1 - f) > err:
-                return int(fl), float(f)
-    raise PrecisionError(f"precision: cannot certify floor({m}^{gamma}) at 2048 bits")
-
-
 def _floor_frac_arrays(n: np.ndarray, gamma: float):
     """Vectorized (floor(n^gamma), {n^gamma}) with certified risky entries."""
     f = phase_mod1_vec(1.0, n, gamma)
     fl = np.round(np.power(n.astype(np.float64), gamma) - f)
     risky = np.flatnonzero(np.minimum(f, 1.0 - f) <= _NEAR_INT)
     for i in risky:
-        fl[i], f[i] = _certified_floor_frac(int(n[i]), gamma)
+        fl[i], f[i] = sieve._certified_floor_frac(int(n[i]), gamma)
     return fl, f
 
 
@@ -315,7 +296,7 @@ def rhs_main(params: Parameters) -> MainTermPair:
     quad = gf * x ** (gf - 1.0) * total_pi + gf * (1.0 - gf) * acc_int.value
 
     top = max(abs(quad), abs(closed))
-    gap = abs(quad - closed) / top if top > 0 else 0.0
+    gap = float(abs(quad - closed) / top) if top > 0 else 0.0
     return MainTermPair(quad, closed, gap, gap > 1e-6)
 
 

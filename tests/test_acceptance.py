@@ -97,7 +97,7 @@ def test_criterion_03_heath_brown_identity(artifacts_dir):
     elapsed = time.perf_counter() - t0
     (artifacts_dir / "criterion_03_hb_identity.txt").write_text(
         f"n <= {limit}: worst |identity - Lambda| / (1 + log n) = {worst:.3e} "
-        f"at n = {worst_n}; {elapsed:.1f} s\n")
+        f"at n = {worst_n}\n")
     assert worst <= 1e-9
     assert elapsed < 120.0
 
@@ -239,7 +239,7 @@ def test_criterion_12_trend(artifacts_dir):
     headline_ok = ratios[-1] < ratios[0]
     bound = 1e6 ** 0.985
     trend.write_csv(str(artifacts_dir / "criterion_12_trend.csv"),
-                    header_comments=[f"five-point schedule, {elapsed:.1f} s"])
+                    header_comments=["five-point schedule"])
     finding = {
         "xs": [r.x for r in trend.rows],
         "ratio_err_main": list(ratios),
@@ -249,7 +249,6 @@ def test_criterion_12_trend(artifacts_dir):
         "abs_gamma5_at_1e6": abs(g5),
         "gamma5_bound": bound,
         "gamma5_ok": abs(g5) < bound,
-        "elapsed_seconds": elapsed,
         "note": "" if headline_ok else (
             "|err|/|main| at 1e7 is not below its 1e5 value; kept as a "
             "finding because the ratio sequence is not monotone"),

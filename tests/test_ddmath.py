@@ -1,0 +1,143 @@
+"""The anchored kernel dd_scaled_pow against dd_pow_int and mpmath."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from psexp import ddmath as dm
+from psexp import sieve, sums
+from psexp.numerics import PHASE_BUDGET, PHASE_CAP, T_CAP
+
+
+def circle_gap(a, b):
+    """Distance between the fractional parts of two pairs, on the circle."""
+    d = np.abs(dm.dd_to_float(*dm.dd_frac(*a)) - dm.dd_to_float(*dm.dd_frac(*b)))
+    return np.minimum(d, 1.0 - d)
+
+
+def oracle(n, c, t):
+    return dm.dd_mul_d(*dm.dd_pow_int(np.asarray(n, dtype=np.int64), c), t)
+
+
+def mp_gap(n, c, t, pair):
+    """Distance from {t n^c} at 60 digits to the fractional part of the pair."""
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(t) * mpmath.mpf(int(n)) ** mpmath.mpf(c)
+        got = mpmath.mpf(float(pair[0])) + mpmath.mpf(float(pair[1]))
+        d = abs(float((got - exact) - mpmath.nint(got - exact)))
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.floats(min_value=0.0, max_value=69.9), c=st.floats(min_value=0.05, max_value=2.0),
+       t=st.floats(min_value=1e-3, max_value=T_CAP), sign=st.sampled_from([1.0, -1.0]))
+def test_agrees_with_dd_pow_int(size, c, t, sign):
+    # 200 consecutive n from the one where |t n^c| ~ 2^size
+    n0 = int(2.0 ** min(max((size - math.log2(t)) / c, 0.0), 52.0))
+    ns = np.arange(n0, n0 + 200, dtype=np.int64)
+    top = t * float(ns[-1]) ** c
+    assume(top < PHASE_CAP)
+    gap = float(np.max(circle_gap(dm.dd_scaled_pow(ns, c, sign * t), oracle(ns, c, sign * t))))
+    assert gap <= (1e-12 if top <= 2.0 ** 53 else PHASE_BUDGET)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.75, 0.995, 1.05, 1.45, 1.99])
+def test_powers_of_two_are_anchors(c):
+    # n = 2^k keeps its own bits as anchor: the value is dd_pow_int's, bit for bit
+    n = 2 ** np.arange(0, 40, dtype=np.int64)
+    n = n[0.5 * n.astype(float) ** c < PHASE_CAP]
+    hi, lo = dm.dd_scaled_pow(n, c, 0.5)
+    ohi, olo = oracle(n, c, 0.5)
+    assert np.array_equal(hi, ohi) and np.array_equal(lo, olo)
+    near = np.concatenate([n[2:] - 1, n[2:] + 1])
+    gap = circle_gap(dm.dd_scaled_pow(near, c, 0.5), oracle(near, c, 0.5))
+    small = 0.5 * near.astype(float) ** c <= 2.0 ** 53
+    assert np.max(gap[small]) <= 1e-12 and np.max(gap) <= PHASE_BUDGET
+
+
+@pytest.mark.parametrize("c", [0.5, 0.75, 0.995, 1.0])
+def test_near_two_to_the_52(c):
+    n = 2 ** 52 - np.array([1, 2, 3, 1000, 123457, 2 ** 26 + 5], dtype=np.int64)
+    pair = dm.dd_scaled_pow(n, c, 1.5)
+    assert np.max(circle_gap(pair, oracle(n, c, 1.5))) <= 1e-12
+    for i in (0, 3, 5):
+        assert mp_gap(n[i], c, 1.5, (pair[0][i], pair[1][i])) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [T_CAP, -T_CAP])
+@pytest.mark.parametrize("c", [0.75, 1.05, 1.4])
+def test_at_the_t_cap(t, c):
+    top = min((PHASE_CAP / T_CAP) ** (1.0 / c) / 2, 2.0 ** 52)
+    n = np.unique(np.geomspace(2, top, 300).astype(np.int64))
+    pair = dm.dd_scaled_pow(n, c, t)
+    assert np.max(np.abs(pair[0])) < PHASE_CAP
+    assert np.max(circle_gap(pair, oracle(n, c, t))) <= PHASE_BUDGET
+    assert mp_gap(n[-1], c, t, (pair[0][-1], pair[1][-1])) <= PHASE_BUDGET
+
+
+def test_mpmath_at_the_documented_limit():
+    # the docstring's claim: n up to 2^52, and ~1e-10 with |t n^c| up to 2^69.9
+    rng = np.random.default_rng(7)
+    cases = [(2 ** 52 - int(k), 1.34, 1.0) for k in rng.integers(1, 2 ** 30, 4)]
+    cases += [(int(k), 1.9, T_CAP) for k in rng.integers(8 * 10 ** 7, 8.3 * 10 ** 7, 4)]
+    for n, c, t in cases:
+        pair = dm.dd_scaled_pow(np.array([n]), c, t)
+        assert abs(float(pair[0][0])) > 2.0 ** 69
+        assert mp_gap(n, c, t, (pair[0][0], pair[1][0])) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma, root", [(0.5, 2), (0.75, 4)])
+def test_exact_powers_stay_certified(gamma, root):
+    # m^root has an integer gamma-th power; its neighbours sit just off one
+    m = np.arange(2, 3000, dtype=np.int64)
+    centre = m ** root
+    centre = centre[centre < 2 ** 52]
+    n = np.unique(np.concatenate([centre - 1, centre, centre + 1]))
+    num, den = (1, 2) if gamma == 0.5 else (3, 4)
+
+    def ceil_pow(v):
+        r = sieve._exact_integer_power(int(v), gamma)
+        if r is not None:
+            return r
+        y = int(v) ** num
+        floor = math.isqrt(math.isqrt(y)) if den == 4 else math.isqrt(y)
+        return floor + 1
+
+    want = [ceil_pow(v + 1) - ceil_pow(v) >= 1 for v in n]
+    assert sieve.ps_mask(n, gamma).tolist() == want
+    fl, f = sums._floor_frac_arrays(centre, gamma)
+    roots = np.round(centre.astype(float) ** (1.0 / root)).astype(np.int64)
+    assert np.array_equal(fl, (roots ** num).astype(float))
+    assert not f.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ns=st.lists(st.integers(min_value=1, max_value=2 ** 36), min_size=1, max_size=40),
+       c=st.floats(min_value=0.05, max_value=1.5), t=st.floats(min_value=-1e3, max_value=1e3),
+       cut=st.integers(min_value=0, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_each_value_depends_only_on_its_own_n(ns, c, t, cut, seed):
+    n = np.array(ns, dtype=np.int64)
+    cut = min(cut, n.size)
+    whole = dm.dd_scaled_pow(n, c, t)
+    alone = [dm.dd_scaled_pow(n[i:i + 1], c, t) for i in range(n.size)]
+    perm = np.random.default_rng(seed).permutation(n.size)
+    shuffled = dm.dd_scaled_pow(n[perm], c, t)
+    split = [np.concatenate(parts) for parts in
+             zip(dm.dd_scaled_pow(n[:cut], c, t), dm.dd_scaled_pow(n[cut:], c, t))]
+    for part in (0, 1):
+        assert np.array_equal(whole[part], [a[part][0] for a in alone])
+        assert np.array_equal(whole[part][perm], shuffled[part])
+        assert np.array_equal(whole[part], split[part])
+
+
+def test_chunking_does_not_change_values(monkeypatch):
+    n = np.arange(10 ** 6, 10 ** 6 + 3 * dm._CHUNK + 17, dtype=np.int64)
+    whole = dm.dd_scaled_pow(n, 1.05, 0.5)
+    monkeypatch.setattr(dm, "_CHUNK", 1000)
+    again = dm.dd_scaled_pow(n, 1.05, 0.5)
+    assert np.array_equal(whole[0], again[0]) and np.array_equal(whole[1], again[1])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psexp import sieve
-from psexp.errors import PreconditionError
+from psexp import sieve, sums
+from psexp.errors import BoundaryError, PreconditionError
 
 PI_KNOWN = {100: 25, 10 ** 4: 1229, 10 ** 6: 78498}
 
@@ -199,6 +199,18 @@ def test_membership_rejects_bad_arguments():
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_membership_scalar_vector_agreement(p):
     assert sieve.ps_mask(np.array([p]), 0.95)[0] == sieve.is_ps_prime(p, 0.95)
+
+
+def test_uncertifiable_floor_raises_boundary_error_on_both_paths(monkeypatch):
+    # 4^gamma = 2 + 3.2e-10: near an integer but not one, so both paths
+    # certify it; with a one-step 16-bit ladder that cannot succeed
+    gamma = 0.5 + 2.0 ** -33
+    assert sieve._certified_floor_frac(4, gamma)[0] == 2
+    monkeypatch.setattr(sieve, "_CERTIFY_BITS", (16,))
+    with pytest.raises(BoundaryError):
+        sieve.ps_mask(np.array([3]), gamma)
+    with pytest.raises(BoundaryError):
+        sums._floor_frac_arrays(np.array([4]), gamma)
 
 
 # ---------------------------------------------------------------------------
