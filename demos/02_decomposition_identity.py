@@ -22,6 +22,6 @@ for x in (1e4, 1e5, 1e6):
 p = Parameters(x=1e5, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
 pair = sums.rhs_main(p)
 print()
-print(f"main term, Gauss-Legendre quadrature: {pair.quadrature:.8f}")
-print(f"main term, closed form              : {pair.closed_form:.8f}")
+print(f"main term, integral over the step function: {pair.quadrature:.8f}")
+print(f"main term, closed form                    : {pair.closed_form:.8f}")
 print(f"relative gap {pair.rel_gap:.3e} (flagged: {pair.flagged})")

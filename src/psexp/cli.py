@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -160,31 +159,20 @@ def _findings_path(csv_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_theorem(cfg: RunConfig) -> int:
-    params = cfg.parameters()
-    if not params.region_ok and not cfg.allow_outside:
-        raise PreconditionError(
-            f"region: 19(c-1) + 171(1-gamma) < 9 fails at c={cfg.values['c']}, "
-            f"gamma={cfg.values['gamma']}; pass --allow-outside to run anyway")
-    xs = cfg.schedule() or [cfg.x]
-    rows, bad = [], []
-    for x in xs:
-        p = replace(params, x=float(x))
-        dec = sums.gamma_decomposition(p)
-        pair = sums.rhs_main(p)
-        lhs = dec.pi_gamma.value
-        rows.append(sums.TheoremReport(lhs, pair.closed_form, lhs - pair.closed_form,
-                                       float(x), p, float(p.claimed_exponent())))
-        if not dec.identity_ok:
-            bad.append(f"x={x:g}: decomposition gap {dec.identity_gap:.3e} "
-                       f"> {dec.tolerance:.3e}")
-        if pair.flagged:
-            bad.append(f"x={x:g}: main-term methods differ by {pair.rel_gap:.3e} relative")
-    trend = sums.TrendReport(rows, params)
+    trend = sums.theorem_trend(cfg.parameters(), cfg.schedule() or [cfg.x],
+                               cfg.allow_outside)
     out = cfg.out("theorem_trend.csv")
     trend.write_csv(out, header_comments=cfg.header_lines())
-    for r in rows:
+    bad = []
+    for r in trend.rows:
         print(f"x={r.x:<12g} |err|={r.abs_err:<12.6g} err/main={r.ratio_err_main:<10.4g} "
               f"log|err|/log x={r.log_err_over_log_x:.4f}")
+        dec, pair = r.decomposition, r.main_term
+        if not dec.identity_ok:
+            bad.append(f"x={r.x:g}: decomposition gap {dec.identity_gap:.3e} "
+                       f"> {dec.tolerance:.3e}")
+        if pair.flagged:
+            bad.append(f"x={r.x:g}: main-term methods differ by {pair.rel_gap:.3e} relative")
     print(f"wrote {out}")
     if bad:
         raise InvariantError("; ".join(bad))

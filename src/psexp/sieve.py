@@ -12,8 +12,6 @@ escalating-precision certification that never guesses.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,48 +115,15 @@ def sieve_range(lo: int, hi: int, mobius: bool = True) -> PrimeTable:
 
 
 def iter_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
-                  mobius: bool = False, cache_dir: str | None = None):
+                  mobius: bool = False):
     """Yield PrimeTables covering (lo, hi] in slices of at most `segment`."""
     if segment < 2:
         raise PreconditionError(f"segment size must be >= 2, got {segment}")
     a = lo
     while a < hi:
         b = min(a + segment, hi)
-        if cache_dir is not None and not mobius:
-            yield _cached_segment(cache_dir, a, b)
-        else:
-            yield sieve_range(a, b, mobius=mobius)
+        yield sieve_range(a, b, mobius=mobius)
         a = b
-
-
-def tau_k(N: int, k: int) -> np.ndarray:
-    """tau_k(n) for 1 <= n <= N (index n); tau_1 = 1, Dirichlet powers of 1."""
-    if k < 1 or N < 1:
-        raise PreconditionError(f"need k >= 1, N >= 1, got k={k}, N={N}")
-    t = np.ones(N + 1, dtype=np.int64)
-    t[0] = 0
-    for _ in range(k - 1):
-        nxt = np.zeros(N + 1, dtype=np.int64)
-        for d in range(1, N + 1):
-            nxt[d::d] += t[d]
-        t = nxt
-    return t
-
-
-def euler_phi(d: int) -> int:
-    if d < 1:
-        raise PreconditionError(f"euler_phi needs d >= 1, got {d}")
-    result, m = d, d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
@@ -272,63 +237,3 @@ def ps_mask(n: np.ndarray, gamma: float) -> np.ndarray:
     for i in risky:
         out[i] = is_ps_prime(int(n[i]), gamma)
     return out
-
-
-# ---------------------------------------------------------------------------
-# binary segment cache: little-endian, length-prefixed bitset, keyed (lo, hi)
-# ---------------------------------------------------------------------------
-
-_CACHE_HEADER = struct.Struct("<qqQ")
-
-
-def segment_cache_path(cache_dir: str, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"seg_{lo}_{hi}.bits")
-
-
-def write_segment(cache_dir: str, table: PrimeTable) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
-    packed = np.packbits(table.is_prime, bitorder="little").tobytes()
-    path = segment_cache_path(cache_dir, table.lo, table.hi)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(table.lo, table.hi, len(packed)))
-        fh.write(packed)
-    return path
-
-
-def read_segment(cache_dir: str, lo: int, hi: int) -> np.ndarray:
-    """The cached primality bitset for (lo, hi]; raises if absent/corrupt."""
-    path = segment_cache_path(cache_dir, lo, hi)
-    with open(path, "rb") as fh:
-        head = fh.read(_CACHE_HEADER.size)
-        if len(head) != _CACHE_HEADER.size:
-            raise PreconditionError(f"cache file {path} truncated")
-        flo, fhi, nbytes = _CACHE_HEADER.unpack(head)
-        if (flo, fhi) != (lo, hi):
-            raise PreconditionError(
-                f"cache key mismatch in {path}: file says ({flo}, {fhi}]")
-        packed = fh.read(nbytes)
-        if len(packed) != nbytes:
-            raise PreconditionError(f"cache file {path} truncated")
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                         bitorder="little")[: hi - lo]
-    return bits.astype(bool)
-
-
-def _cached_segment(cache_dir: str, lo: int, hi: int) -> PrimeTable:
-    path = segment_cache_path(cache_dir, lo, hi)
-    if os.path.exists(path):
-        is_p = read_segment(cache_dir, lo, hi)
-        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        lam = np.where(is_p, np.log(n.astype(np.float64)), 0.0)
-        base = primes_up_to(math.isqrt(hi))
-        for p in base:
-            p = int(p)
-            pk = p * p
-            while pk <= hi:
-                if pk > lo:
-                    lam[pk - lo - 1] = math.log(p)
-                pk *= p
-        return PrimeTable(lo, hi, is_p, lam, None)
-    table = sieve_range(lo, hi, mobius=False)
-    write_segment(cache_dir, table)
-    return table

@@ -95,6 +95,32 @@ def test_theorem_schedule_rows(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["1000.0", "10000.0"]
 
 
+def test_theorem_at_a_prime_x_exits_0(tmp_path):
+    # 10009 is a prime = 1 (mod 3): the last term of pi(x) sits at x itself
+    out = tmp_path / "trend.csv"
+    assert run(["theorem", "--x", "10009", "--out", str(out)]) == 0
+
+
+def test_theorem_schedule_below_two_exits_2(tmp_path, capsys):
+    out = tmp_path / "trend.csv"
+    assert run(["theorem", "--x-schedule", "1,10", "--out", str(out)]) == 2
+    assert "x must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(PreconditionError):
+        sums.theorem_trend(Parameters(x=10.0, c=1.05, gamma=0.995), [1.0, 10.0])
+
+
+def test_theorem_unsorted_schedule_keeps_its_order(tmp_path):
+    out = tmp_path / "trend.csv"
+    assert run(["theorem", "--x-schedule", "1e4,1e3,1e4", "--out", str(out)]) == 0
+    _, _, rows = split_csv(out)
+    assert [r.split(",")[0] for r in rows] == ["10000.0", "1000.0", "10000.0"]
+    assert rows[0] == rows[2]
+    single = tmp_path / "single.csv"
+    assert run(["theorem", "--x", "1e3", "--out", str(single)]) == 0
+    assert split_csv(single)[2] == [rows[1]]     # bitwise the one-point row
+
+
 def test_theorem_outside_region_exits_2(tmp_path, capsys):
     out = tmp_path / "trend.csv"
     code = run(["theorem", "--c", "1.3", "--gamma", "0.8", "--out", str(out)])

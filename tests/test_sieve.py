@@ -1,7 +1,6 @@
-"""Sieve tables, arithmetic functions, floor-sequence membership, cache."""
+"""Sieve tables, primes in progressions, floor-sequence membership."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -105,33 +104,7 @@ def test_iter_segments_rejects_tiny_segment():
 
 
 # ---------------------------------------------------------------------------
-# arithmetic functions
-
-def test_tau_2_counts_divisors():
-    t = sieve.tau_k(40, 2)
-    assert t[1] == 1 and t[12] == 6 and t[36] == 9
-    naive = [sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, 41)]
-    assert list(t[1:]) == naive
-
-
-def test_tau_3_counts_ordered_triples():
-    t = sieve.tau_k(10, 3)
-    assert t[1] == 1 and t[4] == 6 and t[8] == 10
-
-
-def test_tau_k_rejects_bad_input():
-    with pytest.raises(PreconditionError):
-        sieve.tau_k(10, 0)
-
-
-def test_euler_phi_known_values():
-    assert sieve.euler_phi(1) == 1
-    assert sieve.euler_phi(10) == 4
-    assert sieve.euler_phi(97) == 96
-    assert sieve.euler_phi(360) == 96
-    with pytest.raises(PreconditionError):
-        sieve.euler_phi(0)
-
+# primes in progressions
 
 def test_primes_in_ap_matches_filter():
     got = sieve.primes_in_ap(100, 4, 1)
@@ -211,44 +184,3 @@ def test_uncertifiable_floor_raises_boundary_error_on_both_paths(monkeypatch):
         sieve.ps_mask(np.array([3]), gamma)
     with pytest.raises(BoundaryError):
         sums._floor_frac_arrays(np.array([4]), gamma)
-
-
-# ---------------------------------------------------------------------------
-# binary segment cache
-
-def test_cache_round_trip(tmp_path):
-    table = sieve.sieve_range(500, 1500, mobius=False)
-    path = sieve.write_segment(str(tmp_path), table)
-    bits = sieve.read_segment(str(tmp_path), 500, 1500)
-    assert path.endswith("seg_500_1500.bits")
-    assert np.array_equal(bits, table.is_prime)
-
-
-def test_cache_detects_key_mismatch(tmp_path):
-    table = sieve.sieve_range(0, 100, mobius=False)
-    path = sieve.write_segment(str(tmp_path), table)
-    os.rename(path, sieve.segment_cache_path(str(tmp_path), 0, 128))
-    with pytest.raises(PreconditionError):
-        sieve.read_segment(str(tmp_path), 0, 128)
-
-
-def test_cache_detects_truncation(tmp_path):
-    table = sieve.sieve_range(0, 1000, mobius=False)
-    path = sieve.write_segment(str(tmp_path), table)
-    raw = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(raw[: len(raw) - 3])
-    with pytest.raises(PreconditionError):
-        sieve.read_segment(str(tmp_path), 0, 1000)
-
-
-def test_cached_segments_reproduce_uncached_tables(tmp_path):
-    direct = [t.is_prime for t in sieve.iter_segments(0, 5000, segment=1024)]
-    cached = [t.is_prime
-              for t in sieve.iter_segments(0, 5000, segment=1024,
-                                           cache_dir=str(tmp_path))]
-    rereads = [t.is_prime
-               for t in sieve.iter_segments(0, 5000, segment=1024,
-                                            cache_dir=str(tmp_path))]
-    for a, b, c in zip(direct, cached, rereads):
-        assert np.array_equal(a, b) and np.array_equal(a, c)

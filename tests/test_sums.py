@@ -6,6 +6,7 @@ tools/gen_sum_oracles.py regenerates them without importing this package.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_pi_sum_order_independence(oracles):
 
 def test_pi_gamma_sum_matches_frozen_oracle(oracles):
     ref = oracles["pi_gamma_sum"]
-    rep = sums.pi_gamma_sum(params_from(ref))
+    rep = sums.gamma_decomposition(params_from(ref)).pi_gamma
     assert rep.n_terms == ref["n_terms"]
     assert abs(rep.value - as_complex(ref["value"])) <= rep.phase_error_bound
 
@@ -104,7 +105,7 @@ def test_pi_gamma_sum_matches_frozen_oracle(oracles):
 def test_pi_gamma_counts_membership_when_phase_is_trivial(oracles):
     ref = oracles["pi_gamma_sum"]
     p = params_from(ref, t=0.0)
-    rep = sums.pi_gamma_sum(p)
+    rep = sums.gamma_decomposition(p).pi_gamma
     assert rep.value == complex(ref["n_terms"])
 
 
@@ -130,13 +131,6 @@ def test_decomposition_identity_with_phases():
     assert dec.identity_gap <= 1e-10            # far below the contract bound
     assert dec.identity_gap <= dec.tolerance
     assert dec.tolerance == 1e-8 * (1.0 + dec.weight_sum)
-
-
-def test_decomposition_wrappers_agree():
-    p = Parameters(x=2000.0, c=1.1, gamma=0.95, t=-1.5, d=5, a=2)
-    dec = sums.gamma_decomposition(p)
-    assert sums.gamma1_sum(p) == dec.gamma1
-    assert sums.gamma2_sum(p) == dec.gamma2
 
 
 def test_decomposition_degenerates_at_gamma_one():
@@ -186,6 +180,32 @@ def test_rhs_main_degenerate_gamma_one():
     assert pair.rel_gap <= 1e-9
 
 
+@pytest.mark.parametrize("x", [13, 10007, 1000003])
+def test_rhs_main_at_a_prime_x(x):
+    # x itself is the last prime: its term is in pi(x) though the tail
+    # piece [x, x] of the step function has length zero
+    p = Parameters(x=float(x), c=1.05, gamma=0.995, t=0.5, d=1, a=0)
+    assert sieve.primes_in_ap(p.x, 1, 0)[-1] == x
+    pair = sums.rhs_main(p)
+    assert pair.rel_gap <= 1e-9
+    assert not pair.flagged
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9995, 1.0])
+@pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (1_000_003.0, 1_000_033.0),
+                                    (9_999_991.0, 9_999_991.5), (2.0, 1e7),
+                                    (7.0, 7.0)])
+def test_step_integral_matches_mpmath(gamma, lo, hi):
+    mpmath = pytest.importorskip("mpmath")
+    got = sums._step_integral(np.array([lo]), hi, gamma)[0]
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        pts = [mpmath.mpf(lo)] + [mpmath.mpf(10) ** k for k in range(1, 8)
+                                  if lo < 10 ** k < hi] + [mpmath.mpf(hi)]
+        want = mpmath.quad(lambda y: y ** (g - 2), pts)
+    assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+
+
 # ---------------------------------------------------------------------------
 # theorem-facing reports
 
@@ -193,19 +213,67 @@ def test_theorem_check_region_gate():
     outside = Parameters(x=1000.0, c=1.3, gamma=0.8, t=0.0)
     assert not outside.region_ok
     with pytest.raises(PreconditionError):
-        sums.theorem_check(outside)
-    rep = sums.theorem_check(outside, allow_outside=True)
+        sums.theorem_trend(outside, [outside.x])
+    rep = sums.theorem_trend(outside, [outside.x], allow_outside=True).rows[0]
     assert rep.abs_err == abs(rep.lhs - rep.main)
 
 
 def test_theorem_report_fields():
     p = Parameters(x=10 ** 4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
-    rep = sums.theorem_check(p)
+    rep = sums.theorem_trend(p, [p.x]).rows[0]
     assert rep.x == p.x
     assert 0.973 < rep.claimed_exponent < 0.974
     assert rep.ratio_err_main == rep.abs_err / abs(rep.main)
     assert rep.err_over_x_gamma == rep.abs_err / p.x ** p.gamma_float
     assert rep.log_err_over_log_x == math.log(rep.abs_err) / math.log(p.x)
+
+
+def _row_values(dec, pair):
+    """Every computed field of one x, without the wall-clock ones."""
+    pg = dec.pi_gamma
+    return (pg.value, pg.n_terms, pg.phase_error_bound, dec.gamma1, dec.gamma2,
+            dec.identity_gap, dec.weight_sum, dec.mask_mismatches,
+            pair.quadrature, pair.closed_form, pair.rel_gap, pair.flagged)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trend_rows_are_bitwise_one_point_runs(monkeypatch, seed):
+    # a 16-prime block puts checkpoints on, just before and just after block
+    # edges; x = 5 has no prime = 1 (mod 3) at all
+    monkeypatch.setattr(sums, "BLOCK", 16)
+    p = Parameters(x=2000.0, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    ps = sieve.primes_in_ap(2000.0, 3, 1)
+    rng = random.Random(seed)
+    pool = ([5.0] + [float(ps[k]) for k in (15, 16, 31, 47)]
+            + [float(ps[k]) + 0.5 for k in (15, 32)] + [2000.0])
+    xs = [rng.choice(pool) for _ in range(4)] + [rng.uniform(2.0, 2000.0)
+                                                  for _ in range(3)]
+    xs += xs[:2]                     # duplicates, and the order is not sorted
+    trend = sums.theorem_trend(p, xs)
+    assert [r.x for r in trend.rows] == xs
+    for r, x in zip(trend.rows, xs):
+        one = sums.theorem_trend(p, [x]).rows[0]
+        px = replace(p, x=x)
+        want = _row_values(sums.gamma_decomposition(px), sums.rhs_main(px))
+        assert _row_values(r.decomposition, r.main_term) == want
+        assert _row_values(one.decomposition, one.main_term) == want
+        assert (r.lhs, r.main, r.err) == (one.lhs, one.main, one.err)
+        assert r.params == px
+
+
+def test_trend_sieves_once_per_pass(monkeypatch):
+    calls = []
+    primes_up_to = sieve.primes_up_to
+
+    def counting(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(sieve, "primes_up_to", counting)
+    p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
+    assert len(calls) <= 2
+    assert all(n == 100_000 for n in calls)
 
 
 def test_geometric_schedule_endpoints():
@@ -238,6 +306,7 @@ def test_trend_report_machinery(tmp_path):
     assert float(row[0]) == 1e3
     # floats are written with repr: the round trip is exact
     assert float(row[5]) == trend.rows[0].abs_err
+    assert sums.theorem_trend(p, []).rows == []
 
 
 def test_monotone_flag():
