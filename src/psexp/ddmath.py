@@ -362,67 +362,3 @@ def dd_scaled_pow(n, c: float, t: float):
         hi[part], lo[part] = dd_add(ah, al, lin_hi, lin_lo)
     return hi.reshape(n.shape), lo.reshape(n.shape)
 
-
-class DD:
-    """Scalar convenience wrapper over the pair kernels.
-
-    Mainly for boundary logic (floors, fractional parts) where per-element
-    control flow is clearer than masked arrays; the heavy paths use the
-    vector kernels directly.
-    """
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi, lo=0.0):
-        s, e = quick_two_sum(float(hi), float(lo))
-        self.hi, self.lo = float(s), float(e)
-
-    @classmethod
-    def _raw(cls, hi, lo):
-        d = cls.__new__(cls)
-        d.hi, d.lo = float(hi), float(lo)
-        return d
-
-    @classmethod
-    def from_int(cls, n: int) -> "DD":
-        hi = float(n)
-        return cls._raw(*quick_two_sum(hi, float(n - int(hi))))
-
-    def __add__(self, other):
-        if isinstance(other, DD):
-            return DD._raw(*dd_add(self.hi, self.lo, other.hi, other.lo))
-        return DD._raw(*dd_add_d(self.hi, self.lo, float(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DD._raw(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, DD) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, other):
-        if isinstance(other, DD):
-            return DD._raw(*dd_mul(self.hi, self.lo, other.hi, other.lo))
-        return DD._raw(*dd_mul_d(self.hi, self.lo, float(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, DD) else DD(float(other))
-        return DD._raw(*dd_div(self.hi, self.lo, o.hi, o.lo))
-
-    def __float__(self):
-        return self.hi + self.lo
-
-    def floor(self) -> "DD":
-        return DD._raw(*dd_floor(self.hi, self.lo))
-
-    def frac(self) -> "DD":
-        return DD._raw(*dd_frac(self.hi, self.lo))
-
-    def __repr__(self):
-        return f"DD({self.hi!r}, {self.lo!r})"

@@ -24,20 +24,14 @@ from typing import Union
 import numpy as np
 
 from . import ddmath as dm
-from .ddmath import DD
-from .errors import PrecisionError, PreconditionError, ScaleError
+from .errors import PrecisionError, PreconditionError
 
 PHASE_CAP = 2.0 ** 70       # |t * n^c| must stay under this
 PHASE_BUDGET = 1e-9         # documented |{t n^c}| error per phase evaluation
 T_CAP = 1.0e6               # |t| cap for phase evaluation
-_FRAC_CAP = 2.0 ** 100      # pair magnitude beyond which {x} is unresolvable
 
 Rational = Union[Fraction, int]
 Real = Union[float, Fraction, int]
-
-# region boundary 19(c-1) + 171(1-gamma) < 9, and the open parameter box
-C_SUP = Fraction(28, 19)
-GAMMA_INF = Fraction(18, 19)
 
 
 def _as_fraction(v: Real) -> Fraction:
@@ -96,16 +90,6 @@ class Parameters:
         c, g = _as_fraction(self.c), _as_fraction(self.gamma)
         return 19 * (c - 1) + 171 * (1 - g) < 9
 
-    @property
-    def in_theorem_box(self) -> bool:
-        """Strict box 0 < gamma < 1 < c < 28/19 (degenerate edges excluded)."""
-        c, g = _as_fraction(self.c), _as_fraction(self.gamma)
-        return 0 < g < 1 < c < C_SUP
-
-    def t_within_cap(self, x: float | None = None) -> bool:
-        x = self.x if x is None else x
-        return abs(self.t) <= x ** self.delta
-
     def claimed_exponent(self) -> Fraction:
         """Error exponent c/18 + gamma/2 + 143/342 (delta excluded)."""
         c, g = _as_fraction(self.c), _as_fraction(self.gamma)
@@ -124,12 +108,6 @@ class UnitComplex(complex):
 
 def frac(y) -> float:
     """Fractional part {y} in [0, 1); frac(-0.25) = 0.75, exact at integers."""
-    if isinstance(y, DD):
-        if not math.isfinite(y.hi):
-            raise PreconditionError(f"frac of non-finite value {y.hi}")
-        if abs(y.hi) >= _FRAC_CAP:
-            raise ScaleError(f"scale too large: |{y.hi:.6g}| >= 2^100, fractional part unresolvable")
-        return _wrap_unit(float(y.frac()))
     if isinstance(y, int):
         return 0.0
     yf = float(y)

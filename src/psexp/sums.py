@@ -7,16 +7,21 @@ Neumaier-compensated, and ranges are processed in fixed-size blocks combined
 in index order, so repeated runs are bit-identical.
 
 Each side of the theorem has one checkpointed pass (_checkpointed): a walk
-to the largest x of a schedule reports at every x, bitwise as a walk to that
-x alone would.  gamma_decomposition and rhs_main are the one-x case.
+over the primes up to the largest x of a schedule reports at every x,
+bitwise as a walk to that x alone would.  theorem_trend sieves once and
+hands the primes to both passes; gamma_decomposition and rhs_main are the
+one-x case.
 
-The decomposition pass evaluates pi_gamma, Gamma_1 and Gamma_2 from shared
-per-prime fractional parts; the bracket identity
+The decomposition pass takes every per-prime value of the bracket identity
 
     [-p^g] - [-(p+1)^g] = ((p+1)^g - p^g) + (psi(-(p+1)^g) - psi(-p^g))
 
-then holds term by term up to a single rounding, which is what makes the
-decomposition check a meaningful 1e-8 assertion at a million terms.
+from one sieve.ps_floor call per block: the indicator, delta = (p+1)^g - p^g
+(the Gamma_1 weight) and {p^g}, {(p+1)^g} (the Gamma_2 weight), all from a
+single power of p.  The identity then holds term by term up to a few
+roundings, which is what makes the decomposition check a meaningful 1e-8
+assertion at a million terms.  The psi-weights of Gamma_3 .. Gamma_5 come
+from the same kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .errors import PreconditionError
 from .numerics import PHASE_BUDGET, Parameters, e_of_frac_vec, phase_mod1_vec
 
 BLOCK = 1 << 16
-_NEAR_INT = 1e-9            # fractional parts closer than this get certified
 
 
 class ComplexAccumulator:
@@ -119,19 +123,19 @@ def pi_sum(params: Parameters) -> SumReport:
                      time.perf_counter() - t0)
 
 
-def _checkpointed(params: Parameters, xs, terms, fold, state, finish) -> list:
-    """One report per x of the ascending xs, from a single walk to max(xs).
+def _checkpointed(ps: np.ndarray, xs, terms, fold, state, finish) -> list:
+    """One report per x of the ascending xs, from a single walk over ps.
 
-    The primes p <= max(xs), p = a (mod d), are sieved once and walked in
-    BLOCK slices.  terms(blk, nxt) evaluates one slice per element (nxt[i]
-    is the prime after blk[i]; the last one is missing at the very end).
-    fold(state, arrays, k, x) adds the first k elements to the state; x is
-    None for a whole slice, or the checkpoint when the slice holds the last
-    prime <= x.  Each checkpoint folds its slice into a copy of the state, so
-    its report is bitwise the one a walk to that x alone gives.
+    ps holds the primes p <= max(xs), p = a (mod d), in ascending order; the
+    caller sieves them once and may hand the same array to several passes.
+    They are walked in BLOCK slices.  terms(blk, nxt) evaluates one slice per
+    element (nxt[i] is the prime after blk[i]; the last one is missing at the
+    very end).  fold(state, arrays, k, x) adds the first k elements to the
+    state; x is None for a whole slice, or the checkpoint when the slice
+    holds the last prime <= x.  Each checkpoint folds its slice into a copy
+    of the state, so its report is bitwise the one a walk to that x alone
+    gives.
     """
-    ps = sieve.primes_in_ap(max(xs, default=0.0), params.d, params.a)
-
     def slice_terms(s):
         return terms(ps[s:s + BLOCK], ps[s + 1:s + 1 + BLOCK])
 
@@ -152,16 +156,6 @@ def _checkpointed(params: Parameters, xs, terms, fold, state, finish) -> list:
 # the pi_gamma = Gamma_1 + Gamma_2 decomposition
 # ---------------------------------------------------------------------------
 
-def _floor_frac_arrays(n: np.ndarray, gamma: float):
-    """Vectorized (floor(n^gamma), {n^gamma}) with certified risky entries."""
-    f = phase_mod1_vec(1.0, n, gamma)
-    fl = np.round(np.power(n.astype(np.float64), gamma) - f)
-    risky = np.flatnonzero(np.minimum(f, 1.0 - f) <= _NEAR_INT)
-    for i in risky:
-        fl[i], f[i] = sieve._certified_floor_frac(int(n[i]), gamma)
-    return fl, f
-
-
 def _psi_of_minus(f: np.ndarray) -> np.ndarray:
     """psi(-y) from f = {y}: equals 1/2 - f, except -1/2 at integer y."""
     return np.where(f > 0.0, 0.5 - f, -0.5)
@@ -169,7 +163,12 @@ def _psi_of_minus(f: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecompositionReport:
-    """pi_gamma, Gamma_1, Gamma_2 from one pass, plus the identity residue."""
+    """pi_gamma, Gamma_1, Gamma_2 from one pass, plus the identity residue.
+
+    mask_mismatches is 0 by construction: the pass takes its indicator from
+    sieve.ps_floor, which ps_mask also returns, so no second membership
+    route is left to disagree with.  The field stays for its readers.
+    """
 
     pi_gamma: SumReport
     gamma1: complex
@@ -188,37 +187,30 @@ class DecompositionReport:
         return self.identity_gap <= self.tolerance
 
 
-def _decomposition_pass(params: Parameters, xs) -> list:
+def _decomposition_pass(params: Parameters, ps: np.ndarray, xs) -> list:
     """DecompositionReport at each ascending x, from shared per-prime values.
 
-    The indicator route floor((p+1)^g) - floor(p^g) is cross-checked against
-    sieve.ps_mask; disagreements are re-certified and counted.
+    One sieve.ps_floor call per block gives the indicator, the Gamma_1 weight
+    delta = (p+1)^g - p^g and both psi arguments, so mask_mismatches is 0 by
+    construction.
     """
     t0 = time.perf_counter()
     gf = params.gamma_float
 
     def terms(blk, nxt):
-        fl0, f0 = _floor_frac_arrays(blk, gf)
-        fl1, f1 = _floor_frac_arrays(blk + 1, gf)
-        pos0 = (f0 > 0.0).astype(np.float64)
-        pos1 = (f1 > 0.0).astype(np.float64)
-        ind = fl1 - fl0 + pos1 - pos0               # [-p^g] - [-(p+1)^g]
-        bad = sieve.ps_mask(blk, gf) != (ind >= 1.0)
-        for i in np.flatnonzero(bad):
-            ind[i] = 1.0 if sieve.is_ps_prime(int(blk[i]), gf) else 0.0
-        w1 = ind + ((f1 - f0) - (pos1 - pos0))
+        member, f0, f1, delta = sieve.ps_floor(blk, gf)
         w2 = _psi_of_minus(f1) - _psi_of_minus(f0)
         z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
-        return z, w1, w2, ind, bad
+        return z, delta, w2, member
 
     def fold(st, arrays, k, x):
-        z, w1, w2, ind, bad = (a[:k] for a in arrays)
-        st.pg.add_array(z[ind >= 1.0])
+        z, w1, w2, member = (a[:k] for a in arrays)
+        kept = int(np.count_nonzero(member))
+        st.pg.add_array(z[member])
         st.g1.add_array(w1 * z)
         st.g2.add_array(w2 * z)
-        st.weight_sum += float(np.sum(np.abs(w1)) + np.sum(np.abs(w2)) + np.sum(ind))
-        st.n_kept += int(np.sum(ind >= 1.0))
-        st.mismatches += int(np.sum(bad))
+        st.weight_sum += float(np.sum(np.abs(w1)) + np.sum(np.abs(w2)) + kept)
+        st.n_kept += kept
 
     def finish(st, x):
         elapsed = time.perf_counter() - t0
@@ -226,17 +218,17 @@ def _decomposition_pass(params: Parameters, xs) -> list:
                        elapsed)
         gap = abs(pg.value - st.g1.value - st.g2.value)
         return DecompositionReport(pg, st.g1.value, st.g2.value, gap,
-                                   st.weight_sum, st.mismatches, elapsed)
+                                   st.weight_sum, 0, elapsed)
 
     state = SimpleNamespace(pg=ComplexAccumulator(), g1=ComplexAccumulator(),
-                            g2=ComplexAccumulator(), weight_sum=0.0, n_kept=0,
-                            mismatches=0)
-    return _checkpointed(params, xs, terms, fold, state, finish)
+                            g2=ComplexAccumulator(), weight_sum=0.0, n_kept=0)
+    return _checkpointed(ps, xs, terms, fold, state, finish)
 
 
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
-    return _decomposition_pass(params, [params.x])[0]
+    ps = sieve.primes_in_ap(params.x, params.d, params.a)
+    return _decomposition_pass(params, ps, [params.x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +264,7 @@ def _step_integral(lo: np.ndarray, hi, gamma: float) -> np.ndarray:
     return np.power(lo, e) * np.expm1(e * log_ratio) / e
 
 
-def _main_term_pass(params: Parameters, xs) -> list:
+def _main_term_pass(params: Parameters, ps: np.ndarray, xs) -> list:
     """MainTermPair at each ascending x, with one e(t p^c) per prime.
 
     gamma x^(gamma-1) pi(x) + gamma(1-gamma) integral of y^(gamma-2) pi(y),
@@ -309,12 +301,13 @@ def _main_term_pass(params: Parameters, xs) -> list:
 
     state = SimpleNamespace(closed=ComplexAccumulator(), integral=ComplexAccumulator(),
                             pi_y=0j)
-    return _checkpointed(params, xs, terms, fold, state, finish)
+    return _checkpointed(ps, xs, terms, fold, state, finish)
 
 
 def rhs_main(params: Parameters) -> MainTermPair:
     """The main term at params.x (one checkpoint), by quadrature and closed form."""
-    return _main_term_pass(params, [params.x])[0]
+    ps = sieve.primes_in_ap(params.x, params.d, params.a)
+    return _main_term_pass(params, ps, [params.x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +348,10 @@ class TheoremReport:
 
 def geometric_schedule(x_lo: float, x_hi: float, factor: float = math.sqrt(10.0)):
     """x_lo, x_lo*factor, ... climbing past x_hi's lower neighbor, ending at x_hi."""
-    if not (x_lo >= 2 and x_hi >= x_lo and factor > 1):
+    if not (x_lo >= 2 and x_hi >= x_lo and factor > 1
+            and math.isfinite(x_hi) and math.isfinite(factor)):
         raise PreconditionError(
-            f"schedule needs 2 <= x_lo <= x_hi and factor > 1, "
+            f"schedule needs finite 2 <= x_lo <= x_hi and factor > 1, "
             f"got ({x_lo}, {x_hi}, {factor})")
     xs = [float(x_lo)]
     while xs[-1] * factor < x_hi * (1.0 - 1e-12):
@@ -404,8 +398,8 @@ class TrendReport:
 def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendReport:
     """lhs = pi_gamma, main (closed form) and err = lhs - main at each x.
 
-    One decomposition pass and one main-term pass to max(xs) serve the whole
-    schedule; rows keep the order of xs (duplicates included), and each is
+    One sieve to max(xs) feeds one decomposition pass and one main-term pass,
+    which serve the whole schedule; rows keep the order of xs (duplicates included), and each is
     bitwise the row a one-point schedule at that x gives.
     """
     if not params.region_ok and not allow_outside:
@@ -416,9 +410,12 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
     for x in xs:
         if not x >= 2:
             raise PreconditionError(f"schedule x must be >= 2, got {x}")
+        if not math.isfinite(x):
+            raise PreconditionError(f"schedule x must be finite, got {x}")
     grid = sorted(set(xs))
-    decs = dict(zip(grid, _decomposition_pass(params, grid)))
-    pairs = dict(zip(grid, _main_term_pass(params, grid)))
+    ps = sieve.primes_in_ap(max(grid, default=0.0), params.d, params.a)
+    decs = dict(zip(grid, _decomposition_pass(params, ps, grid)))
+    pairs = dict(zip(grid, _main_term_pass(params, ps, grid)))
     expo = float(params.claimed_exponent())
     rows = []
     for x in xs:
@@ -434,8 +431,7 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
 
 def _psi_weights(n: np.ndarray, gamma: float) -> np.ndarray:
     """psi(-(n+1)^gamma) - psi(-n^gamma), certified near integers."""
-    _, f0 = _floor_frac_arrays(n, gamma)
-    _, f1 = _floor_frac_arrays(n + 1, gamma)
+    _, f0, f1, _ = sieve.ps_floor(n, gamma)
     return _psi_of_minus(f1) - _psi_of_minus(f0)
 
 

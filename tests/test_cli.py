@@ -110,6 +110,14 @@ def test_theorem_schedule_below_two_exits_2(tmp_path, capsys):
         sums.theorem_trend(Parameters(x=10.0, c=1.05, gamma=0.995), [1.0, 10.0])
 
 
+@pytest.mark.parametrize("schedule", ["1e5,inf", "1e3:inf"])
+def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
+    out = tmp_path / "trend.csv"
+    assert run(["theorem", "--x-schedule", schedule, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theorem_unsorted_schedule_keeps_its_order(tmp_path):
     out = tmp_path / "trend.csv"
     assert run(["theorem", "--x-schedule", "1e4,1e3,1e4", "--out", str(out)]) == 0

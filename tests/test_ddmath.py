@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psexp import ddmath as dm
-from psexp import sieve, sums
+from psexp import sieve
 from psexp.numerics import PHASE_BUDGET, PHASE_CAP, T_CAP
 
 
@@ -109,10 +109,11 @@ def test_exact_powers_stay_certified(gamma, root):
 
     want = [ceil_pow(v + 1) - ceil_pow(v) >= 1 for v in n]
     assert sieve.ps_mask(n, gamma).tolist() == want
-    fl, f = sums._floor_frac_arrays(centre, gamma)
-    roots = np.round(centre.astype(float) ** (1.0 / root)).astype(np.int64)
-    assert np.array_equal(fl, (roots ** num).astype(float))
-    assert not f.any()
+    member, f0, f1, _ = sieve.ps_floor(n, gamma)
+    assert member.tolist() == want
+    assert not f0[np.isin(n, centre)].any()         # {centre^gamma} = 0 exactly
+    assert not f1[np.isin(n + 1, centre)].any()
+    assert f0[~np.isin(n, centre)].all()
 
 
 @settings(max_examples=40, deadline=None)

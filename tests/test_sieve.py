@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psexp import sieve, sums
+from psexp import sieve
 from psexp.errors import BoundaryError, PreconditionError
 
 PI_KNOWN = {100: 25, 10 ** 4: 1229, 10 ** 6: 78498}
@@ -121,6 +121,34 @@ def test_primes_in_ap_matches_filter():
 def test_gamma_one_accepts_everything():
     assert sieve.is_ps_prime(17, 1.0)
     assert sieve.ps_mask(np.arange(1, 50), 1.0).all()
+    member, f0, f1, delta = sieve.ps_floor(np.arange(1, 50), 1.0)
+    assert member.all() and not f0.any() and not f1.any() and (delta == 1.0).all()
+
+
+@pytest.mark.parametrize("gamma, root", [(0.5, 2), (0.75, 4)])
+def test_ps_floor_matches_mpmath(gamma, root):
+    # exact powers (certified, f0 = 0), their neighbours (f1 = 0 just below
+    # one) and integers near 2^52, against 40-digit mpmath
+    import mpmath as mp
+
+    top = {2: [2 ** 26 - 1, 2 ** 26], 4: [2 ** 12 + 1, 2 ** 13]}[root]   # up to 2^52
+    m = np.concatenate([np.arange(2, 40), top]).astype(np.int64) ** root
+    near = 2 ** 52 - np.array([0, 1, 2, 3, 1000, 12345, 2 ** 20])
+    n = np.unique(np.concatenate([m - 1, m, m + 1, near]))
+    member, f0, f1, delta = sieve.ps_floor(n, gamma)
+    with mp.workdps(40):
+        g = mp.mpf(gamma)
+        for i, k in enumerate(n.tolist()):
+            y0, y1 = mp.mpf(k) ** g, mp.mpf(k + 1) ** g
+            assert member[i] == (mp.ceil(y1) - mp.ceil(y0) >= 1), k
+            for got, y in ((f0[i], y0), (f1[i], y1)):
+                want = float(y - mp.floor(y))
+                if want == 0.0:
+                    assert got == 0.0, k
+                else:
+                    assert min(abs(got - want), 1 - abs(got - want)) <= 1e-12, k
+            want = y1 - y0
+            assert abs(mp.mpf(float(delta[i])) - want) <= 4 * np.spacing(float(want)), k
 
 
 def test_membership_matches_forward_enumeration():
@@ -175,12 +203,15 @@ def test_membership_scalar_vector_agreement(p):
 
 
 def test_uncertifiable_floor_raises_boundary_error_on_both_paths(monkeypatch):
-    # 4^gamma = 2 + 3.2e-10: near an integer but not one, so both paths
-    # certify it; with a one-step 16-bit ladder that cannot succeed
+    # 4^gamma = 2 + 3.2e-10: near an integer but not one, so the vector kernel
+    # (as {(n+1)^gamma} at n = 3 and as {n^gamma} at n = 4) and the scalar
+    # test certify it; with a one-step 16-bit ladder that cannot succeed
     gamma = 0.5 + 2.0 ** -33
     assert sieve._certified_floor_frac(4, gamma)[0] == 2
     monkeypatch.setattr(sieve, "_CERTIFY_BITS", (16,))
     with pytest.raises(BoundaryError):
         sieve.ps_mask(np.array([3]), gamma)
     with pytest.raises(BoundaryError):
-        sums._floor_frac_arrays(np.array([4]), gamma)
+        sieve.ps_floor(np.array([4]), gamma)
+    with pytest.raises(BoundaryError):
+        sieve.is_ps_prime(4, gamma)

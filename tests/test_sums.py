@@ -133,6 +133,18 @@ def test_decomposition_identity_with_phases():
     assert dec.tolerance == 1e-8 * (1.0 + dec.weight_sum)
 
 
+@pytest.mark.parametrize("gamma", [0.9, 0.995])
+def test_pass_membership_matches_is_ps_prime(gamma):
+    # a checkpoint at every prime: successive pi_gamma term counts are the
+    # pass's own indicator, prime by prime
+    ps = sieve.primes_in_ap(2e4, 1, 0)
+    p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
+    reps = sums._decomposition_pass(p, ps, ps.astype(float))
+    kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
+    assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
+    assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
+
+
 def test_decomposition_degenerates_at_gamma_one():
     p = Parameters(x=3000.0, c=1.1, gamma=1.0, t=0.25, d=1, a=0)
     dec = sums.gamma_decomposition(p)
@@ -261,7 +273,7 @@ def test_trend_rows_are_bitwise_one_point_runs(monkeypatch, seed):
         assert r.params == px
 
 
-def test_trend_sieves_once_per_pass(monkeypatch):
+def test_trend_sieves_once(monkeypatch):
     calls = []
     primes_up_to = sieve.primes_up_to
 
@@ -272,8 +284,7 @@ def test_trend_sieves_once_per_pass(monkeypatch):
     monkeypatch.setattr(sieve, "primes_up_to", counting)
     p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
-    assert len(calls) <= 2
-    assert all(n == 100_000 for n in calls)
+    assert calls == [100_000]
 
 
 def test_geometric_schedule_endpoints():
