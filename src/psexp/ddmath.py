@@ -25,7 +25,11 @@ local binomial expansion: the constant and linear terms in pair arithmetic,
 the small remainder A g(r) in float64 (Odlyzko-Schonhage style local
 expansion).  The anchor width s grows with the bit length of n and shrinks
 with |t| n^c, so that the remainder stays <= 2^11 and its truncation
-<= 2^-45; see dd_scaled_pow for the error budget.
+<= 2^-45; see dd_scaled_pow for the error budget.  Passing t_max sizes the
+anchors for a larger |t|, so one pair of t n^c serves every multiple h t n^c
+with |h t| <= |t_max| (numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a
+correctly rounded square root with one exact Newton residual, exact at
+perfect squares.
 """
 
 from __future__ import annotations
@@ -235,6 +239,19 @@ def dd_exp2(whi, wlo):
     return np.ldexp(ehi, Wi), np.ldexp(elo, Wi)          # exact scaling
 
 
+def dd_sqrt_int(n):
+    """sqrt(n) as a pair for integers 1 <= n < 2^53; exact at perfect squares.
+
+    hi = fl(sqrt(n)) is correctly rounded and n - hi^2 is exact (two_prod,
+    then Sterbenz), so one Newton step lo = (n - hi^2) / (2 hi) leaves
+    ~2^-105 relative error and lo = 0 when n is a square.
+    """
+    nf = np.asarray(n, dtype=np.float64)
+    hi = np.sqrt(nf)
+    p, e = two_prod(hi, hi)
+    return quick_two_sum(hi, ((nf - p) - e) / (2.0 * hi))
+
+
 def dd_pow_int(n, c):
     """n^c as a pair, n positive integer array/scalar, c float64.
 
@@ -243,12 +260,14 @@ def dd_pow_int(n, c):
     scale of c log2 n (up to ~70), and the result keeps the pair's relative
     accuracy, ~2^-104, up to the 2^70 phase cap.  c = 1 and c = 2
     short-circuit to exact pairs so that degenerate parameter choices stay
-    exact.
+    exact, and c = 1/2 to dd_sqrt_int, exact at perfect squares.
     """
     if c == 1.0:
         return dd_from_int(np.asarray(n, dtype=np.int64))
     if c == 2.0:
         return dd_sqr(*dd_from_int(np.asarray(n, dtype=np.int64)))
+    if c == 0.5:
+        return dd_sqrt_int(n)
     k, lg_hi, lg_lo = dd_log2_int(n)
     p, e = two_prod(c, k)
     W = np.rint(p)
@@ -288,11 +307,11 @@ def _anchor_shifts(c: float, t: float, binom: list) -> np.ndarray:
     r = k / n0 < 2^(s - L + 1) <= 1/2 and |A| = |t| n0^c < |t| 2^(cL).  For
     0 < c <= 2 the |binom(c, j)| do not increase with j >= 2, so any tail of
     g from r^j on is at most 2 |binom(c, j)| r^j.  s is the largest width with
-    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS.  For c = 1 or 2
-    the power is exact and s = 0.
+    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS.  For c = 1/2, 1
+    or 2 dd_pow_int has a cheap path exact at perfect powers, and s = 0.
     """
     bits = np.arange(65.0)
-    if c in (1.0, 2.0):
+    if c in (0.5, 1.0, 2.0):
         return np.zeros(bits.size, dtype=np.int64)
     at = abs(t)
     head = bits - 1.0 + (_CORR_BITS - _log2(2.0 * abs(binom[0]) * at) - c * bits) / 2.0
@@ -311,11 +330,13 @@ def _distinct(v: np.ndarray):
     return np.unique(v, return_inverse=True)
 
 
-def dd_scaled_pow(n, c: float, t: float):
+def dd_scaled_pow(n, c: float, t: float, t_max: float | None = None):
     """t * n^c as a pair, for positive integers 1 <= n < 2^53 and 0 < c <= 2.
 
     Each n is expanded around the anchor n0 = n with its low s bits cleared,
-    where s depends only on the bit length of n, c and t (_anchor_shifts):
+    where s depends only on the bit length of n, c and t_max (_anchor_shifts;
+    t_max defaults to t, and a larger |t_max| gives the narrower anchors a
+    pair needs when it is later scaled by up to |t_max / t|):
 
         t n^c = A + D1 k + A g(r),   A = t n0^c,  D1 = c A / n0,
         k = n - n0,  r = k / n0,  g(r) = sum_{j>=2} binom(c, j) r^j.
@@ -328,18 +349,21 @@ def dd_scaled_pow(n, c: float, t: float):
     elements or on the chunking.
 
     Error budget, beyond dd_pow_int's own ~2^-104 |t n^c| at n0: the
-    float64 remainder is at most 2^11, so its rounding (Horner, r, r^2 and the
-    product with A_hi) stays below ~17 ulp(2^10) = 2^-37.9 ~ 4e-12; the
-    dropped tail is at most 2^-45 ~ 3e-14; the pair additions add
-    ~2^-105 |t n^c|.  Checked against mpmath at 60 digits for n up to 2^52
-    and |t n^c| up to 2^69.9 (tests/test_ddmath.py): worst 9e-14 on {t n^c}
-    while |t n^c| <= 2^53 and 1.4e-11 near 2^70.
+    float64 remainder is at most 2^11 |t / t_max|, so its rounding (Horner,
+    r, r^2 and the product with A_hi) stays below ~17 ulp(2^10 |t / t_max|),
+    2^-37.9 ~ 4e-12 at t_max = t; the dropped tail is at most
+    2^-45 |t / t_max| ~ 3e-14; the pair additions add ~2^-105 |t n^c|.
+    Scaled by h with |h t| <= |t_max|, each of these stays within what a
+    direct call at h t spends.  Checked against mpmath at 60 digits for n up
+    to 2^52 and |t n^c| up to 2^69.9 (tests/test_ddmath.py): worst 9e-14 on
+    {t n^c} while |t n^c| <= 2^53 and 1.4e-11 near 2^70.
     """
     c, t = float(c), float(t)
     n = np.asarray(n, dtype=np.int64)
     flat = n.ravel()
     binom = _binomials(c)
-    s = _anchor_shifts(c, t, binom)[np.frexp(flat.astype(np.float64))[1]]
+    width_t = t if t_max is None else float(t_max)
+    s = _anchor_shifts(c, width_t, binom)[np.frexp(flat.astype(np.float64))[1]]
     if not s.any():
         hi, lo = dd_mul_d(*dd_pow_int(flat, c), t)
         return hi.reshape(n.shape), lo.reshape(n.shape)

@@ -10,7 +10,8 @@ delta = y2 - y1 < 1 from float64 give the indicator [{n^gamma} + delta >= 1]
 and {y2}; anything within 1e-9 of an integer goes through an
 escalating-precision certification that never guesses.  ps_mask, the
 decomposition pass and the psi-weights of sums all use it; is_ps_prime is
-the scalar, certified-only oracle.
+the scalar, certified-only oracle.  primes_up_to holds a byte per integer
+and raises ScaleError past SIEVE_CAP = 2^32 before allocating.
 """
 
 from __future__ import annotations
@@ -22,14 +23,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .errors import BoundaryError, PreconditionError
+from .errors import BoundaryError, PreconditionError, ScaleError
 
 DEFAULT_SEGMENT = 1 << 22
+SIEVE_CAP = 1 << 32         # primes_up_to holds a byte per integer: 4 GiB at the cap
 _NEAR_INT = 1e-9
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as int64, by a plain boolean sieve."""
+    """All primes <= n as int64, by a plain boolean sieve.
+
+    Raises ScaleError, before allocating anything, once n exceeds SIEVE_CAP.
+    """
+    if n > SIEVE_CAP:
+        raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)

@@ -22,6 +22,16 @@ single power of p.  The identity then holds term by term up to a few
 roundings, which is what makes the decomposition check a meaningful 1e-8
 assertion at a million terms.  The psi-weights of Gamma_3 .. Gamma_5 come
 from the same kernel.
+
+The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case)
+and Gamma_11 (gamma11_sum) sieve their Lambda-window once and form, per
+block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with anchors
+sized for the largest |h| = H, and {t n^c} + k n / d once; each h then
+costs {h n^gamma} = numerics.frac_times(pair, h), one multiply and one
+floor, instead of a power per h.  Its error is |h| times the pair's error
+plus |h| 2^-53, within what a direct phase_mod1_vec(h, n, gamma) spends
+and within PHASE_BUDGET (measured against 40-digit mpmath for |h| <= 10^3:
+1.7e-13).
 """
 
 from __future__ import annotations
@@ -37,7 +47,8 @@ import numpy as np
 
 from . import sieve
 from .errors import PreconditionError
-from .numerics import PHASE_BUDGET, Parameters, e_of_frac_vec, phase_mod1_vec
+from .numerics import (PHASE_BUDGET, Parameters, check_height, e_of_frac_vec,
+                       frac_pair, frac_times, phase_mod1_vec, weighted_e_sum)
 
 BLOCK = 1 << 16
 
@@ -545,58 +556,81 @@ def gamma5_schedule(params: Parameters, levels: int | None = None) -> Gamma5Sche
 # Gamma_10 / Gamma_11 window sums
 # ---------------------------------------------------------------------------
 
+def _lambda_h_sums(window, hs, gamma: float, base=None) -> list:
+    """[sum of Lambda(n) e(base(n) + h n^gamma) over the window] for each h of hs.
+
+    window holds the (n, Lambda(n)) blocks of one sieve.  Per block, base(n)
+    (a phase array in [0, 1), or none) and one {n^gamma} pair sized for the
+    largest |h| (numerics.frac_pair) are formed once; each h then costs one
+    frac_times, so no h re-powers n and no h re-sieves.
+    """
+    height = max((abs(h) for h in hs), default=0)
+    blocks = [(lam, None if base is None else base(n),
+               frac_pair(n, gamma, height) if height else None)
+              for n, lam in window]
+    out = []
+    for h in hs:
+        acc = ComplexAccumulator()
+        for lam, b, pair in blocks:
+            fr = frac_times(pair, h) if h else 0.0
+            if b is not None:
+                fr = np.mod(b + fr, 1.0)
+            acc.add(weighted_e_sum(lam, fr), lam.size)
+        out.append(acc.value)
+    return out
+
+
 def gamma11_sum(x: float, H: int, params: Parameters) -> float:
-    """Sum over 1 <= |h| <= H of |sum of Lambda(n) e(-h n^gamma)| on (x/2, x]."""
-    if not (isinstance(H, (int, np.integer)) and H >= 0):
-        raise PreconditionError(f"H must be a nonnegative integer, got {H!r}")
+    """Sum over 1 <= |h| <= H of |sum of Lambda(n) e(-h n^gamma)| on (x/2, x].
+
+    Lambda is real, so the inner sums at h and -h are complex conjugates:
+    twice the sum over h = 1 .. H.
+    """
+    H = check_height(H)
     if x < 4:
         raise PreconditionError(f"gamma11_sum needs x >= 4, got {x}")
+    if H == 0:
+        return 0.0
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    blocks = list(_lambda_window(lo, hi, params.d, params.a))
-    total = 0.0
-    for h in range(1, H + 1):
-        for hh in (h, -h):
-            acc = ComplexAccumulator()
-            for n, lam in blocks:
-                z = e_of_frac_vec(phase_mod1_vec(float(-hh), n, params.gamma_float))
-                acc.add_array(lam * z)
-            total += abs(acc.value)
-    return total
+    window = list(_lambda_window(lo, hi, params.d, params.a))
+    inner = _lambda_h_sums(window, range(1, H + 1), params.gamma_float)
+    return 2.0 * float(sum(abs(v) for v in inner))
 
 
-def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> complex:
-    """sum over x/2 < n <= x1 of Lambda(n) e(t n^c + h n^gamma + k n / d).
-
-    No congruence restriction: the character e(k n / d) replaces it.  The
-    rational phase (k n mod d) / d is exact.
-    """
-    if not isinstance(h, (int, np.integer)):
-        raise PreconditionError(f"h must be an integer, got {h!r}")
+def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
+    """weighted_lambda_expsum(x1, h, params, k) for each h of hs, from one sieve."""
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= params.d):
         raise PreconditionError(f"need 1 <= k <= d = {params.d}, got k={k!r}")
     if x1 > params.x:
         raise PreconditionError(f"x1 = {x1} exceeds x = {params.x}")
     lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
     if hi <= lo:
-        return 0j
-    acc = ComplexAccumulator()
-    d = params.d
-    for n, lam in _lambda_window(lo, hi, 1, 0):
+        return [0j] * len(hs)
+    d, kd = params.d, int(k) % params.d
+
+    def base(n):
         fr = phase_mod1_vec(params.t, n, params.c_float)
-        if h:
-            fr = fr + phase_mod1_vec(float(h), n, params.gamma_float)
-        if d > 1:
-            fr = fr + ((int(k) % d) * (n % d) % d) / float(d)
-        acc.add_array(lam * e_of_frac_vec(np.mod(fr, 1.0)))
-    return acc.value
+        return fr + (kd * (n % d) % d) / float(d) if d > 1 else fr
+
+    return _lambda_h_sums(list(_lambda_window(lo, hi, 1, 0)), hs, params.gamma_float,
+                          base)
+
+
+def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> complex:
+    """sum over x/2 < n <= x1 of Lambda(n) e(t n^c + h n^gamma + k n / d).
+
+    No congruence restriction: the character e(k n / d) replaces it.  The
+    rational phase (k n mod d) / d is exact.  The one-h case of gamma10_sum.
+    """
+    if not isinstance(h, (int, np.integer)):
+        raise PreconditionError(f"h must be an integer, got {h!r}")
+    return _twisted_sums(x1, [int(h)], params, k)[0]
 
 
 def gamma10_sum(x1: float, H: int, params: Parameters, k: int) -> float:
-    """Sum over 1 <= |h| <= H of |weighted_lambda_expsum(x1, h, ., k)|."""
-    if not (isinstance(H, (int, np.integer)) and H >= 0):
-        raise PreconditionError(f"H must be a nonnegative integer, got {H!r}")
-    total = 0.0
-    for h in range(1, H + 1):
-        total += abs(weighted_lambda_expsum(x1, h, params, k))
-        total += abs(weighted_lambda_expsum(x1, -h, params, k))
-    return total
+    """Sum over 1 <= |h| <= H of |weighted_lambda_expsum(x1, h, ., k)|, one sieve."""
+    H = check_height(H)
+    if H == 0:
+        return 0.0
+    hs = [s * h for h in range(1, H + 1) for s in (1, -1)]
+    return float(sum(abs(v) for v in _twisted_sums(x1, hs, params, k)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psexp import cli, sums
+from psexp import cli, sieve, sums
 from psexp.cli import RunConfig
 from psexp.errors import PreconditionError
 from psexp.numerics import Parameters
@@ -115,6 +115,18 @@ def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
     out = tmp_path / "trend.csv"
     assert run(["theorem", "--x-schedule", schedule, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_theorem_beyond_the_sieve_cap_exits_2(tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sieve allocated past its cap")
+
+    monkeypatch.setattr(sieve.np, "ones", no_allocation)
+    out = tmp_path / "trend.csv"
+    assert run(["theorem", "--x", "1e30", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the cap" in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 

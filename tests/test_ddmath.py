@@ -90,6 +90,20 @@ def test_mpmath_at_the_documented_limit():
         assert mp_gap(n, c, t, (pair[0][0], pair[1][0])) <= 1e-10
 
 
+def test_sqrt_pair_matches_mpmath_and_is_exact_at_squares():
+    rng = np.random.default_rng(11)
+    n = np.concatenate([rng.integers(1, 2 ** 53, 40), [1, 2, 3, 2 ** 52 - 1, 2 ** 53 - 1]])
+    hi, lo = dm.dd_sqrt_int(n)
+    with mpmath.workdps(60):
+        for v, a, b in zip(n, hi, lo):
+            exact = mpmath.sqrt(int(v))
+            assert abs(mpmath.mpf(float(a)) + float(b) - exact) <= 2.0 ** -104 * exact
+    m = np.concatenate([np.arange(1, 5000), [2 ** 26 - 1, 94906265]]).astype(np.int64)
+    hi, lo = dm.dd_sqrt_int(m * m)
+    assert np.array_equal(hi, m.astype(np.float64)) and not lo.any()
+    assert np.array_equal(dm.dd_scaled_pow(m * m, 0.5, 3.0)[0], 3.0 * m)
+
+
 @pytest.mark.parametrize("gamma, root", [(0.5, 2), (0.75, 4)])
 def test_exact_powers_stay_certified(gamma, root):
     # m^root has an integer gamma-th power; its neighbours sit just off one

@@ -269,3 +269,48 @@ def test_type_sums_empty_window_is_zero():
     # box products all exceed x: nothing survives the (x/2, x1] window
     p = Parameters(x=100.0, c=1.1, gamma=0.9, t=0.5, d=5, a=1)
     assert hb.type_sums(BOX, 3, p) == 0.0
+
+
+def exact_type_sum(box, H, params, k, a_coeffs, b_coeffs, x1):
+    """S_II as a plain double loop over (m, l), phases from 30-digit mpmath."""
+    import mpmath
+
+    total = 0.0
+    with mpmath.workdps(30):
+        c, g, t = (mpmath.mpf(v) for v in (params.c_float, params.gamma_float, params.t))
+        phases = {}
+        for m in range(box.M + 1, box.M1 + 1):
+            for l in range(box.L + 1, box.L1 + 1):
+                n = m * l
+                if params.x / 2 < n <= x1:
+                    phases[n] = (t * mpmath.mpf(n) ** c, mpmath.mpf(n) ** g)
+        for h in range(1, H + 1):
+            for hh in (h, -h):
+                acc = 0j
+                for i, m in enumerate(range(box.M + 1, box.M1 + 1)):
+                    for j, l in enumerate(range(box.L + 1, box.L1 + 1)):
+                        if m * l not in phases:
+                            continue
+                        tc, ng = phases[m * l]
+                        y = tc + hh * ng + mpmath.mpf(k * m * l % params.d) / params.d
+                        y = float(y - mpmath.floor(y))
+                        acc += a_coeffs[i] * b_coeffs[j] * cmath.exp(2j * math.pi * y)
+                total += abs(acc)
+    return total
+
+
+def test_type_sums_match_an_exact_double_loop():
+    rng = np.random.default_rng(44)
+    a = rng.uniform(-1.0, 1.0, BOX.M1 - BOX.M)
+    b = rng.uniform(-1.0, 1.0, BOX.L1 - BOX.L)
+    got = hb.type_sums(BOX, np.int64(3), PARAMS, k=2, variant="SII",
+                       a_coeffs=a, b_coeffs=b, x1=2600.0)
+    want = exact_type_sum(BOX, 3, PARAMS, 2, a, b, 2600.0)
+    assert abs(got - want) <= 1e-9
+
+
+def test_type_sums_accepts_numpy_heights():
+    assert hb.type_sums(BOX, np.int64(2), PARAMS) == hb.type_sums(BOX, 2, PARAMS)
+    assert hb.type_sums(BOX, np.int64(0), PARAMS) == 0.0
+    with pytest.raises(PreconditionError):
+        hb.type_sums(BOX, np.int64(-1), PARAMS)

@@ -4,15 +4,17 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psexp.errors import PrecisionError, PreconditionError
-from psexp.numerics import (Parameters, UnitComplex, e_of, e_of_frac_vec, frac,
-                            phase_mod1, phase_mod1_vec, psi,
-                            verify_phase_fixture)
+from psexp.numerics import (PHASE_CAP, Parameters, UnitComplex, check_height, e_of,
+                            e_of_frac_vec, frac, frac_pair, frac_times, phase_mod1,
+                            phase_mod1_vec, psi, verify_phase_fixture,
+                            weighted_e_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,63 @@ def test_e_of_frac_vec_matches_scalar():
     for zi, fi in zip(z, fr):
         assert abs(zi - e_of(fi)) < 1e-15
     assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-15
+
+
+def test_weighted_e_sum_matches_complex_sum():
+    rng = np.random.default_rng(5)
+    fr, w = rng.uniform(0.0, 1.0, 500), rng.uniform(-1.0, 2.0, 500)
+    assert abs(weighted_e_sum(w, fr) - complex(np.sum(w * e_of_frac_vec(fr)))) < 1e-12
+    assert weighted_e_sum(np.zeros(0), np.zeros(0)) == 0j
+
+
+# ---------------------------------------------------------------------------
+# {h n^c} for every 1 <= |h| <= H from one pair
+
+@pytest.mark.parametrize("c", [0.5, 0.75, 0.9, 0.995])
+def test_frac_times_matches_mpmath(c):
+    rng = np.random.default_rng(int(c * 1000))
+    n = np.unique(np.concatenate([rng.integers(2 ** (b - 1), 2 ** b, 3)
+                                  for b in (4, 12, 20, 28, 36, 44)]
+                                 + [[2 ** 45 - 1, 2 ** 45 - 12345]]))
+    for H in (1, 9, 1000):
+        pair = frac_pair(n, c, H)
+        hs = sorted({1, -1, H, -H, *rng.integers(-H, H + 1, 4).tolist()} - {0})
+        for h in hs:
+            got = frac_times(pair, h)
+            assert np.all((0.0 <= got) & (got < 1.0))
+            with mpmath.workdps(40):
+                for nn, g in zip(n, got):
+                    y = h * mpmath.mpf(int(nn)) ** mpmath.mpf(c)
+                    err = abs(g - float(y - mpmath.floor(y)))
+                    assert min(err, 1.0 - err) <= 1e-12, (int(nn), h, c)
+
+
+def test_frac_times_is_exactly_zero_at_perfect_squares():
+    m = np.arange(1, 2 ** 22, 4099, dtype=np.int64)
+    pair = frac_pair(m * m, 0.5, 1000)
+    for h in (1, -1, 7, -999, 1000):
+        assert not frac_times(pair, h).any()
+
+
+def test_frac_pair_keeps_the_phase_cap():
+    # n^gamma ~ 2^51.74 for n = 2^52 at gamma = 0.995: H = 2^18.3 reaches 2^70
+    n = np.array([2 ** 52], dtype=np.int64)
+    top = float(n[0]) ** 0.995
+    H = int(PHASE_CAP / top) + 1
+    with pytest.raises(PrecisionError):
+        frac_pair(n, 0.995, H)
+    frac_pair(n, 0.995, H - 2)                         # just under the cap
+    with pytest.raises(PreconditionError):
+        frac_pair(n, 0.995, 2 * 10 ** 6)               # |h| beyond T_CAP
+    assert frac_pair(np.zeros(0, dtype=np.int64), 0.9, 5)[0].size == 0
+
+
+def test_check_height_accepts_numpy_integers():
+    assert check_height(np.int64(3)) == 3 and type(check_height(np.int64(3))) is int
+    assert check_height(0) == 0
+    for bad in (-1, 2.0, "2", None):
+        with pytest.raises(PreconditionError):
+            check_height(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psexp import sieve
-from psexp.errors import BoundaryError, PreconditionError
+from psexp.errors import BoundaryError, PreconditionError, ScaleError
 
 PI_KNOWN = {100: 25, 10 ** 4: 1229, 10 ** 6: 78498}
 
@@ -19,6 +19,19 @@ PI_KNOWN = {100: 25, 10 ** 4: 1229, 10 ** 6: 78498}
 def test_prime_counts_match_tables():
     for x, count in PI_KNOWN.items():
         assert len(sieve.primes_up_to(x)) == count
+
+
+def test_sieve_cap_raises_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sieve allocated past its cap")
+
+    monkeypatch.setattr(sieve.np, "ones", no_allocation)
+    for n in (sieve.SIEVE_CAP + 1, 10 ** 30):
+        with pytest.raises(ScaleError):
+            sieve.primes_up_to(n)
+    with pytest.raises(ScaleError):
+        sieve.primes_in_ap(1e30, 3, 1)
+    assert sieve.SIEVE_CAP > 10 ** 9
 
 
 def test_first_primes():

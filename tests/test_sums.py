@@ -14,7 +14,7 @@ import pytest
 
 from psexp import sieve, sums
 from psexp.errors import PreconditionError
-from psexp.numerics import Parameters, e_of, phase_mod1, psi
+from psexp.numerics import Parameters, e_of, phase_mod1, phase_mod1_vec, psi
 
 from conftest import as_complex
 
@@ -440,3 +440,51 @@ def test_gamma10_is_the_sum_of_moduli():
         parts += abs(sums.weighted_lambda_expsum(600.0, h, p, k))
         parts += abs(sums.weighted_lambda_expsum(600.0, -h, p, k))
     assert total == pytest.approx(parts, abs=1e-12)
+
+
+def count_sieves(monkeypatch):
+    calls = []
+    sieve_range = sieve.sieve_range
+
+    def counting(lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(sieve, "sieve_range", counting)
+    return calls
+
+
+@pytest.mark.parametrize("H", [1, 4, 9])
+def test_h_sums_sieve_their_window_once(monkeypatch, H):
+    p = Parameters(x=6000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    calls = count_sieves(monkeypatch)
+    sums.gamma11_sum(p.x, H, p)
+    assert calls == [(3000, 6000)]
+    calls.clear()
+    sums.gamma10_sum(5000.0, np.int64(H), p, 2)
+    assert calls == [(3000, 5000)]
+
+
+def test_zero_height_returns_before_sieving(monkeypatch):
+    p = Parameters(x=6000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    calls = count_sieves(monkeypatch)
+    assert sums.gamma11_sum(p.x, 0, p) == 0.0
+    assert sums.gamma10_sum(p.x, np.int64(0), p, 1) == 0.0
+    assert calls == []
+    with pytest.raises(PreconditionError):
+        sums.gamma10_sum(p.x, -1, p, 1)
+    with pytest.raises(PreconditionError):
+        sums.gamma11_sum(p.x, 1.5, p)
+
+
+def test_gamma11_pairs_conjugate_heights():
+    # Lambda is real: the inner sums at h and -h have equal moduli, so
+    # gamma11_sum is twice the sum over positive h of the direct inner sums
+    p = Parameters(x=5000.0, c=1.1, gamma=0.9, t=0.0, d=4, a=3)
+    table = sieve.sieve_range(2500, 5000)
+    keep = (table.lam != 0) & (table.n_values() % 4 == 3)
+    n, lam = table.n_values()[keep], table.lam[keep]
+    want = 0.0
+    for h in (1, 2, 3, -1, -2, -3):
+        want += abs(np.sum(lam * np.exp(-2j * math.pi * phase_mod1_vec(float(h), n, 0.9))))
+    assert sums.gamma11_sum(p.x, 3, p) == pytest.approx(want, abs=1e-9)
