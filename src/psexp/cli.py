@@ -28,8 +28,6 @@ from .errors import (BoundaryError, InvariantError, LabError, PrecisionError,
                      PreconditionError, ScaleError)
 from .numerics import Parameters
 
-_FIELDS = ("command", "c", "gamma", "t", "d", "a", "x", "x-schedule", "H",
-           "out", "seed", "grid-step", "tol", "allow-outside", "fixture")
 _DEFAULTS = {
     "command": "",
     "c": "1.05",
@@ -47,6 +45,7 @@ _DEFAULTS = {
     "allow-outside": "0",
     "fixture": "",
 }
+_FIELDS = tuple(_DEFAULTS)    # config keys in header order; each but command is a --flag
 
 
 class RunConfig:
@@ -203,14 +202,7 @@ def cmd_region(cfg: RunConfig) -> int:
 
 
 def cmd_gamma5(cfg: RunConfig) -> int:
-    params = cfg.parameters()
-    xs = cfg.schedule()
-    if xs is None:
-        sched = sums.gamma5_schedule(params)
-    else:
-        expo = float(params.claimed_exponent())
-        values = [sums.gamma5_sum(x, params) for x in xs]
-        sched = sums.Gamma5Schedule(list(xs), values, [x ** expo for x in xs])
+    sched = sums.gamma5_schedule(cfg.parameters(), cfg.schedule())
     out = cfg.out("gamma5_schedule.csv")
     sched.write_csv(out, header_comments=cfg.header_lines())
     for x, v, b in zip(sched.xs, sched.values, sched.claimed):
@@ -220,19 +212,15 @@ def cmd_gamma5(cfg: RunConfig) -> int:
 
 
 def cmd_vaaler(cfg: RunConfig) -> int:
-    H = cfg.H
-    coeffs = vaaler.build_coefficients(H)
-    rng = np.random.default_rng(cfg.seed)
-    xs = np.concatenate([np.linspace(0.0, 1.0, 10_001), rng.uniform(0.0, 1.0, 1000)])
-    worst, worst_x = vaaler.pointwise_check(xs, coeffs)
-    a_cap = float(np.max(np.abs(coeffs.a) * np.arange(1, H + 1)))
-    b_cap = float(np.max(coeffs.b) * H)
+    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(
+        cfg.H, np.random.default_rng(cfg.seed), cfg.tol)
     out = cfg.out("vaaler_coefficients.csv")
-    vaaler.dump_coefficients_csv(coeffs, out, header=cfg.header_lines())
-    print(f"H={H}: worst pointwise gap {worst:.3e} at x={worst_x:.6f}; "
+    vaaler.dump_coefficients_csv(vaaler.build_coefficients(cfg.H), out,
+                                 header=cfg.header_lines())
+    print(f"H={cfg.H}: worst pointwise gap {worst:.3e} at x={worst_x:.6f}; "
           f"max |a(h) h| = {a_cap:.6f}; max b(h) H = {b_cap:.6f}")
     print(f"wrote {out}")
-    if worst > cfg.tol or a_cap > 1.0 + 1e-12 or b_cap > 4.0 + 1e-12:
+    if not ok:
         raise InvariantError(
             f"vaaler checks failed: gap={worst:.3e}, |a h|={a_cap}, b H={b_cap}")
     return 0
@@ -250,41 +238,19 @@ def cmd_vdc(cfg: RunConfig) -> int:
             w.writerow([r.label, r.kind, repr(r.interval[0]), repr(r.interval[1]),
                         repr(r.lam), repr(r.bound), repr(r.empirical), repr(r.ratio)])
     worst = max(r.ratio for r in reports)
-    rng = np.random.default_rng(cfg.seed)
-    violations = 0
-    trials = 0
-    for _ in range(250):
-        N = int(rng.integers(16, 257))
-        z = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, N))
-        for Q in (1, 5, 50, N):
-            lhs, rhs, ok, _ = vdc.square_out_check(z, Q)
-            trials += 1
-            violations += not ok
+    trials, violations = vdc.square_out_trials(np.random.default_rng(cfg.seed))
     print(f"{len(reports)} derivative-test pairs, worst empirical/bound {worst:.4f}; "
           f"square-out {trials} trials, {violations} violations")
     print(f"wrote {out}")
-    if worst > 10.0 or violations:
+    if worst > vdc.RATIO_CEILING or violations:
         raise InvariantError(
             f"vdc sweep failed: worst ratio {worst:.4f}, violations {violations}")
     return 0
 
 
-def _hb_sweep(limit: int):
-    """Worst |identity - Lambda| over n <= limit with J = 3, z = n^(1/3)."""
-    tab = sieve.sieve_range(0, limit)
-    worst, worst_n = 0.0, 1
-    for n in range(1, limit + 1):
-        v = heathbrown.hb_identity_value(n, 3, n ** (1.0 / 3.0))
-        ref = tab.lam[n - 1] if n > 1 else 0.0
-        err = abs(v - ref) / (1.0 + math.log(n))
-        if err > worst:
-            worst, worst_n = err, n
-    return worst, worst_n
-
-
 def cmd_hb(cfg: RunConfig) -> int:
     limit = min(int(cfg.x), 10_000)
-    worst, worst_n = _hb_sweep(limit)
+    worst, worst_n = heathbrown.identity_sweep(limit)
     cf = float(cfg.c)
     rep = heathbrown.uvz_preconditions(cfg.x, cf)
     rows = heathbrown.classification_map(cfg.x, cf)
@@ -298,7 +264,7 @@ def cmd_hb(cfg: RunConfig) -> int:
           f"window conditions {'ok' if conds_ok else 'FAILED'}; "
           f"first-line chain 2<=U<V<=Z<=x/2: {rep.chain_ok}")
     print(f"wrote {out} ({len(rows)} dyadic boxes)")
-    if worst > 1e-9 or not idents_ok or not conds_ok:
+    if worst > heathbrown.SWEEP_TOL or not idents_ok or not conds_ok:
         raise InvariantError(
             f"hb failed: sweep {worst:.3e}, identities {idents_ok}, conditions {conds_ok}")
     return 0
@@ -329,36 +295,21 @@ def cmd_suite(cfg: RunConfig) -> int:
                 f"pi(1e4)={n_primes} (want 1229), mask/scalar agree={agree}")
 
     def check_vaaler():
-        worst_all = -math.inf
-        for H in (1, 10, 100):
-            co = vaaler.build_coefficients(H)
-            xs = np.concatenate([np.linspace(0.0, 1.0, 2001),
-                                 rng.uniform(0.0, 1.0, 500)])
-            worst, _ = vaaler.pointwise_check(xs, co)
-            worst_all = max(worst_all, worst)
-            caps = (np.max(np.abs(co.a) * np.arange(1, H + 1)) <= 1.0 + 1e-12
-                    and np.max(co.b) * H <= 4.0 + 1e-12)
-            if not caps:
-                return False, f"coefficient caps failed at H={H}"
-        return worst_all <= cfg.tol, f"worst pointwise gap {worst_all:.3e}"
+        checks = [vaaler.grid_check(H, rng, cfg.tol) for H in (1, 10, 100)]
+        return (all(c[4] for c in checks),
+                f"worst pointwise gap {max(c[0] for c in checks):.3e} at H = 1, 10, 100")
 
     def check_square_out():
-        bad = 0
-        for _ in range(200):
-            N = int(rng.integers(16, 257))
-            z = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, N))
-            for Q in (1, 5, 50, N):
-                _, _, ok, _ = vdc.square_out_check(z, Q)
-                bad += not ok
-        return bad == 0, f"{bad} violations in 800 trials"
+        trials, bad = vdc.square_out_trials(rng)
+        return bad == 0, f"{bad} violations in {trials} trials"
 
     def check_hb():
-        worst, worst_n = _hb_sweep(10_000)
-        return worst <= 1e-9, f"worst scaled error {worst:.3e} at n={worst_n}"
+        worst, worst_n = heathbrown.identity_sweep(10_000)
+        return worst <= heathbrown.SWEEP_TOL, f"worst scaled error {worst:.3e} at n={worst_n}"
 
     def check_vdc():
         worst = max(r.ratio for r in vdc.standard_sweep())
-        return worst <= 10.0, f"worst empirical/bound {worst:.4f}"
+        return worst <= vdc.RATIO_CEILING, f"worst empirical/bound {worst:.4f}"
 
     def check_decomposition():
         sets = [Parameters(x=1e4, c=1.1, gamma=0.9, t=0.5, d=3, a=1),
@@ -403,28 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--c", dest="c")
-        p.add_argument("--gamma")
-        p.add_argument("--t")
-        p.add_argument("--d")
-        p.add_argument("--a")
-        p.add_argument("--x")
-        p.add_argument("--x-schedule", dest="x_schedule")
-        p.add_argument("--H", dest="H")
-        p.add_argument("--out")
-        p.add_argument("--seed")
-        p.add_argument("--grid-step", dest="grid_step")
-        p.add_argument("--tol")
-        p.add_argument("--allow-outside", dest="allow_outside",
-                       action="store_const", const="1")
-        p.add_argument("--fixture")
+        for key in _FIELDS[1:]:
+            if key == "allow-outside":
+                p.add_argument("--allow-outside", action="store_const", const="1")
+            else:
+                p.add_argument(f"--{key}")
     return parser
-
-
-_ARG_TO_KEY = {"c": "c", "gamma": "gamma", "t": "t", "d": "d", "a": "a",
-               "x": "x", "x_schedule": "x-schedule", "H": "H", "out": "out",
-               "seed": "seed", "grid_step": "grid-step", "tol": "tol",
-               "allow_outside": "allow-outside", "fixture": "fixture"}
 
 
 def config_from_args(args) -> RunConfig:
@@ -432,10 +367,9 @@ def config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             values.update(RunConfig.parse(fh.read()).values)
-    for attr, key in _ARG_TO_KEY.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            values[key] = v
+    for dest, v in vars(args).items():
+        if v is not None and dest not in ("command", "config"):
+            values[dest.replace("_", "-")] = v
     values["command"] = args.command
     return RunConfig(values)
 

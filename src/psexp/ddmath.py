@@ -97,10 +97,6 @@ def dd_neg(xhi, xlo):
     return -xhi, -xlo
 
 
-def dd_sub(xhi, xlo, yhi, ylo):
-    return dd_add(xhi, xlo, -yhi, -ylo)
-
-
 def dd_mul(xhi, xlo, yhi, ylo):
     p, e = two_prod(xhi, yhi)
     e = e + (xhi * ylo + xlo * yhi)
@@ -149,10 +145,6 @@ def dd_frac(xhi, xlo):
     neg = rhi < 0.0
     rhi = np.where(neg, rhi + 1.0, rhi)
     return rhi, rlo
-
-
-def dd_to_float(xhi, xlo):
-    return xhi + xlo
 
 
 def dd_from_int(n):

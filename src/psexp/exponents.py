@@ -425,10 +425,6 @@ def reference_catalogues():
 CLAIMED_X_EXPONENT = AffineExponent(F(143, 342), F(1, 18), F(1, 2))
 
 
-def region_vertices():
-    return _VERTICES
-
-
 def condition_margin(c, gamma):
     """9 - 19(c-1) - 171(1-gamma), positive exactly inside the condition."""
     c, gamma = _rat(c, "c"), _rat(gamma, "gamma")

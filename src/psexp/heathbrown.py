@@ -1,9 +1,11 @@
 """Combinatorial decomposition of the von Mangoldt weight and dyadic box algebra.
 
 hb_identity_value evaluates the J-fold identity for Lambda(n) by direct
-divisor walks, uvz_windows/uvz_preconditions handle the U, V, Z cutoffs that
-steer the Type I / Type II split, classify_box applies the split to a dyadic
-box, and type_sums evaluates the resulting bilinear sums directly at desk
+divisor walks, identity_sweep checks it against the sieved Lambda for every
+n up to a limit (the one check behind `psexp hb` and `psexp suite`),
+uvz_windows/uvz_preconditions handle the U, V, Z cutoffs that steer the
+Type I / Type II split, classify_box applies the split to a dyadic box, and
+type_sums evaluates the resulting bilinear sums directly at desk
 scale.  Identities about exponents are checked in exact rationals; sums are
 double precision on top of the pair-arithmetic phase path.  type_sums
 gathers the (m, l) pairs of its window once and takes {h (ml)^gamma} for
@@ -21,11 +23,12 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from . import numerics
+from . import numerics, sieve
 from .errors import PreconditionError, ScaleError
 from .exponents import AffineExponent
 
 ML_CAP = 10 ** 7
+SWEEP_TOL = 1e-9      # largest scaled identity_sweep error accepted
 
 # x-exponents of the three windows; the 2-power prefactors live outside
 _EXP_U = AffineExponent(F(56, 171), F(-38, 171), 0)
@@ -116,6 +119,21 @@ def hb_identity_value(n, J=3, z=None):
                 part += gm * (logn - math.log(m)) * tau_j(r, j) / j
         total += coeff * part
     return total
+
+
+def identity_sweep(limit: int):
+    """Worst |identity - Lambda(n)| / (1 + log n) over n <= limit, J = 3,
+    z = n^(1/3).  Returns (worst, worst_n).
+    """
+    tab = sieve.sieve_range(0, limit)
+    worst, worst_n = 0.0, 1
+    for n in range(1, limit + 1):
+        v = hb_identity_value(n, 3, n ** (1.0 / 3.0))
+        ref = tab.lam[n - 1] if n > 1 else 0.0
+        err = abs(v - ref) / (1.0 + math.log(n))
+        if err > worst:
+            worst, worst_n = err, n
+    return worst, worst_n
 
 
 @dataclass(frozen=True)

@@ -523,7 +523,7 @@ def gamma5_sum(x: float, params: Parameters) -> complex:
 
 @dataclass
 class Gamma5Schedule:
-    """|Gamma_5| down a dyadic ladder x, x/2, x/4, ... against the claim."""
+    """|Gamma_5| at each x of a schedule against the claimed bound x^e."""
 
     xs: list
     values: list
@@ -539,17 +539,17 @@ class Gamma5Schedule:
                 w.writerow([repr(x), repr(abs(v)), repr(b)])
 
 
-def gamma5_schedule(params: Parameters, levels: int | None = None) -> Gamma5Schedule:
-    """Evaluate gamma5_sum at x, x/2, x/4, ... (stops below 4)."""
+def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
+    """Evaluate gamma5_sum at each x of xs; by default down the dyadic ladder
+    params.x, params.x/2, params.x/4, ... (stops below 4)."""
+    if xs is None:
+        xs, x = [], params.x
+        while x >= 4:
+            xs.append(x)
+            x = x / 2.0
     expo = float(params.claimed_exponent())
-    xs, values, claimed = [], [], []
-    x = params.x
-    while x >= 4 and (levels is None or len(xs) < levels):
-        xs.append(x)
-        values.append(gamma5_sum(x, params))
-        claimed.append(x ** expo)
-        x = x / 2.0
-    return Gamma5Schedule(xs, values, claimed)
+    return Gamma5Schedule(list(xs), [gamma5_sum(x, params) for x in xs],
+                          [x ** expo for x in xs])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ where M is (1/(H+1)) times the Fejer kernel, hence nonnegative with mean
 inequality strict at integer x where the sharp version is an equality.
 Dropping Phi (plain Fejer smoothing of the psi series) breaks the bound near
 integers by a factor ~ H * dist(x, Z), which the tests demonstrate.
+
+The three series (approx_psi, majorant, naive_fejer_psi) are reduced by
+_trig_series, an in-place weight and a row sum, not by a matrix product: a
+BLAS gemv sums in an order that follows the thread count and the batch
+shape, while numpy's row sum gives every x bitwise the value of a one-point
+call.  grid_check is the one check of the approximation that
+`psexp vaaler` and `psexp suite` run: the pointwise inequality on a fixed grid
+plus random points, and the caps max |a(h) h| <= A_CAP, max b(h) H <= B_CAP.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from . import ddmath as dm
 from .errors import PreconditionError
 
 H_MAX = 10 ** 6
+A_CAP = 1.0 + 1e-12      # max |a(h) h| = max Phi / (2 pi) <= 1 / (2 pi)
+B_CAP = 4.0 + 1e-12      # max b(h) H = H / (H+1) < 1
 
 
 @dataclass(frozen=True)
@@ -68,13 +78,18 @@ def build_coefficients(H: int) -> VaalerCoefficients:
     return VaalerCoefficients(int(H), a, b)
 
 
-def approx_psi(x, coeffs: VaalerCoefficients):
-    """psi*(x); scalar or ndarray x, reduced mod 1 before the sine series."""
+def _trig_series(trig, x, w: np.ndarray):
+    """sum_{h=1}^{len(w)} w[h-1] trig(2 pi h {x}), one row sum per x."""
     x = np.asarray(x, dtype=np.float64)
     r = x - np.floor(x)
-    h = np.arange(1, coeffs.H + 1, dtype=np.float64)
-    phi_over_h = (2.0 * coeffs.a.imag)          # Phi_h / (pi h)
-    s = np.sin(2.0 * math.pi * np.multiply.outer(r, h)) @ phi_over_h
+    T = trig(2.0 * math.pi * np.multiply.outer(r, np.arange(1, w.size + 1, dtype=np.float64)))
+    T *= w
+    return T.sum(axis=-1)
+
+
+def approx_psi(x, coeffs: VaalerCoefficients):
+    """psi*(x); scalar or ndarray x, reduced mod 1 before the sine series."""
+    s = _trig_series(np.sin, x, 2.0 * coeffs.a.imag)      # Phi_h / (pi h)
     return -s if s.shape else float(-s)
 
 
@@ -84,10 +99,7 @@ def majorant(x, coeffs: VaalerCoefficients):
     Scaled Fejer kernel; the closed form is available separately as an
     independent oracle (fejer_closed_form).
     """
-    x = np.asarray(x, dtype=np.float64)
-    r = x - np.floor(x)
-    h = np.arange(1, coeffs.H + 1, dtype=np.float64)
-    m = coeffs.b[0] + 2.0 * (np.cos(2.0 * math.pi * np.multiply.outer(r, h)) @ coeffs.b[1:])
+    m = coeffs.b[0] + 2.0 * _trig_series(np.cos, x, coeffs.b[1:])
     return m if m.shape else float(m)
 
 
@@ -118,16 +130,13 @@ def naive_fejer_psi(x, H: int):
     -(1/pi) sum (1 - h/(H+1)) sin(2 pi h x)/h.  Kept as a foil: it fails the
     pointwise inequality against M near integers.
     """
-    x = np.asarray(x, dtype=np.float64)
-    r = x - np.floor(x)
     h = np.arange(1, H + 1, dtype=np.float64)
-    w = (1.0 - h / (H + 1.0)) / h
-    s = np.sin(2.0 * math.pi * np.multiply.outer(r, h)) @ w
+    s = _trig_series(np.sin, x, (1.0 - h / (H + 1.0)) / h)
     return (-s / math.pi) if s.shape else float(-s / math.pi)
 
 
-def pointwise_check(xs: np.ndarray, coeffs: VaalerCoefficients, slack: float = 1e-10):
-    """max over xs of |psi - psi*| - M; the inequality holds iff <= slack.
+def pointwise_check(xs: np.ndarray, coeffs: VaalerCoefficients):
+    """max over xs of |psi - psi*| - M, <= 0 up to rounding where the bound holds.
 
     Returns (worst_violation, worst_x).
     """
@@ -137,6 +146,21 @@ def pointwise_check(xs: np.ndarray, coeffs: VaalerCoefficients, slack: float = 1
     gap = err - majorant(xs, coeffs)
     i = int(np.argmax(gap))
     return float(gap[i]), float(xs[i])
+
+
+def grid_check(H: int, rng: np.random.Generator, tol: float):
+    """The degree-H check on 10,001 grid points of [0, 1] and 1000 random x.
+
+    Returns (worst_gap, worst_x, a_cap, b_cap, ok): the pointwise_check pair,
+    max |a(h) h| and max b(h) H, and ok when the gap is <= tol and both caps
+    hold.
+    """
+    coeffs = build_coefficients(H)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 10_001), rng.uniform(0.0, 1.0, 1000)])
+    worst, worst_x = pointwise_check(xs, coeffs)
+    a_cap = coeffs.a_abs_cap()
+    b_cap = float(np.max(coeffs.b) * H)
+    return worst, worst_x, a_cap, b_cap, worst <= tol and a_cap <= A_CAP and b_cap <= B_CAP
 
 
 def dump_coefficients_csv(coeffs: VaalerCoefficients, path: str,

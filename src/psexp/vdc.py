@@ -6,10 +6,10 @@ For a real phase f on an interval (a, b] the classical bounds read
     third derivative:  |sum e(f(n))| <= C ((b-a) lam^(1/6) + lam^(-1/3)),
 
 valid when |f''| (resp. |f'''|) is comparable to lam throughout.  compare()
-samples the derivative over the interval, takes lam as the geometric mean of
-the sampled bracket, and reports the empirical-to-bound ratio; a ratio well
-below the constant's reach (<= 10 across the monomial sweeps used in tests)
-is the desk-scale sanity that the formulas are transcribed right.
+samples the derivative at 1000 points of the interval, takes lam as the
+geometric mean of the sampled bracket, and reports the empirical-to-bound
+ratio with C = 1; a ratio at most RATIO_CEILING = 10 across standard_sweep is
+the desk-scale sanity that the formulas are transcribed right.
 
 square_out_check verifies the unconditional inequality
 
@@ -18,6 +18,8 @@ square_out_check verifies the unconditional inequality
 (X = |I| by default; the exact Cauchy-Schwarz factor is (|I|+Q-1)/Q, so the
 stated factor is slightly generous and the inequality holds for every complex
 sequence, which makes it a sharp self-test of the correlation bookkeeping).
+square_out_trials runs it on 250 random unit-modulus sequences at four shift
+caps each; `psexp vdc` and `psexp suite` both run that one check.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import numpy as np
 from .errors import PreconditionError
 
 _C_DEFAULT = 1.0
+_BRACKET_SAMPLES = 1000     # sample points of a derivative bracket
+RATIO_CEILING = 10.0        # largest empirical/bound ratio standard_sweep accepts
 
 
 @dataclass
@@ -51,12 +55,12 @@ class PhaseFunction:
     def n_values(self) -> np.ndarray:
         return np.arange(math.floor(self.a) + 1, math.floor(self.b) + 1, dtype=np.int64)
 
-    def bracket(self, order: int, samples: int = 1000) -> tuple[float, float]:
+    def bracket(self, order: int) -> tuple[float, float]:
         """(min, max) of |f''| or |f'''| over a uniform sample of [a, b]."""
         fn = self.d2 if order == 2 else self.d3 if order == 3 else None
         if fn is None:
             raise PreconditionError(f"derivative of order {order} not supplied")
-        ys = np.abs(np.asarray(fn(np.linspace(self.a, self.b, samples))))
+        ys = np.abs(np.asarray(fn(np.linspace(self.a, self.b, _BRACKET_SAMPLES))))
         return float(np.min(ys)), float(np.max(ys))
 
 
@@ -68,7 +72,6 @@ class BoundReport:
     bound: float
     empirical: float
     ratio: float
-    constant: float = _C_DEFAULT
     bracket: tuple[float, float] = field(default=(0.0, 0.0))
     label: str = ""
 
@@ -101,8 +104,7 @@ def empirical_sum(pf: PhaseFunction) -> float:
     return float(abs(z.sum()))
 
 
-def compare(pf: PhaseFunction, kind: str = "second", C: float = _C_DEFAULT,
-            samples: int = 1000) -> BoundReport:
+def compare(pf: PhaseFunction, kind: str = "second") -> BoundReport:
     """Empirical |sum e(f(n))| against the derivative-test bound.
 
     lam is the geometric mean of the sampled |f''| (or |f'''|) bracket; a
@@ -112,17 +114,16 @@ def compare(pf: PhaseFunction, kind: str = "second", C: float = _C_DEFAULT,
     if kind not in ("second", "third"):
         raise PreconditionError(f"kind must be 'second' or 'third', got {kind!r}")
     order = 2 if kind == "second" else 3
-    lo, hi = pf.bracket(order, samples)
+    lo, hi = pf.bracket(order)
     if lo <= 0.0:
         raise PreconditionError(
             f"|f^({order})| vanishes on the interval (bracket [{lo}, {hi}])")
     lam = math.sqrt(lo * hi)
     length = pf.b - pf.a
-    bound = (second_derivative_bound(length, lam, C) if order == 2
-             else third_derivative_bound(length, lam, C))
+    bound = (second_derivative_bound(length, lam) if order == 2
+             else third_derivative_bound(length, lam))
     emp = empirical_sum(pf)
-    return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, C,
-                       (lo, hi), pf.label)
+    return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, (lo, hi), pf.label)
 
 
 def square_out_check(z: np.ndarray, Q: int, X: float | None = None,
@@ -155,6 +156,20 @@ def square_out_check(z: np.ndarray, Q: int, X: float | None = None,
     return float(lhs), float(rhs), bool(ok), abs(acc.imag)
 
 
+def square_out_trials(rng: np.random.Generator):
+    """square_out_check on 250 sequences e(u_n), u_n uniform, of random length
+    16 <= N <= 256, at Q = 1, 5, 50 and N.  Returns (trials, violations).
+    """
+    trials = violations = 0
+    for _ in range(250):
+        N = int(rng.integers(16, 257))
+        z = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, N))
+        for Q in (1, 5, 50, N):
+            trials += 1
+            violations += not square_out_check(z, Q)[2]
+    return trials, violations
+
+
 def monomial_phase(theta: float, power: float, a: float, b: float,
                    label: str = "") -> PhaseFunction:
     """f(n) = theta * n^power with exact symbolic derivatives."""
@@ -174,7 +189,7 @@ def monomial_phase(theta: float, power: float, a: float, b: float,
                          label or f"{theta:g}*n^{power:g} on ({a:g},{b:g}]")
 
 
-def standard_sweep(C: float = _C_DEFAULT) -> list[BoundReport]:
+def standard_sweep() -> list[BoundReport]:
     """The desk-scale (phase, interval) sweep used by the acceptance gate.
 
     Monomial families theta*n^2 (second test), theta*n^3 (third test) and
@@ -183,13 +198,13 @@ def standard_sweep(C: float = _C_DEFAULT) -> list[BoundReport]:
     reports = []
     for theta in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
         for N in (1000.0, 3000.0):
-            reports.append(compare(monomial_phase(theta, 2.0, N, 2 * N), "second", C))
-            reports.append(compare(monomial_phase(theta / N, 3.0, N, 2 * N), "third", C))
+            reports.append(compare(monomial_phase(theta, 2.0, N, 2 * N), "second"))
+            reports.append(compare(monomial_phase(theta / N, 3.0, N, 2 * N), "third"))
     for theta in (1e-3, 1e-2, 1e-1):
         for N in (1000.0, 5000.0):
             pf = monomial_phase(theta, 1.5, N, 2 * N)
-            reports.append(compare(pf, "second", C))
-            reports.append(compare(pf, "third", C))
+            reports.append(compare(pf, "second"))
+            reports.append(compare(pf, "third"))
     for theta in (0.5e-3, 2e-3):
-        reports.append(compare(monomial_phase(theta, 1.5, 1000.0, 2000.0), "second", C))
+        reports.append(compare(monomial_phase(theta, 1.5, 1000.0, 2000.0), "second"))
     return reports

@@ -63,6 +63,19 @@ def test_schedule_forms():
         RunConfig({"x-schedule": "1:2:3:4"}).schedule()
 
 
+def test_every_config_key_is_set_by_its_flag():
+    parser = cli.build_parser()
+    for key in cli._FIELDS[1:]:
+        flag = [f"--{key}"] if key == "allow-outside" else [f"--{key}", "v"]
+        cfg = cli.config_from_args(parser.parse_args(["theorem", *flag]))
+        want = "1" if key == "allow-outside" else "v"
+        assert cfg.values == {**cli._DEFAULTS, "command": "theorem", key: want}, key
+    assert RunConfig({"command": "theorem"}).serialize() == (
+        "command=theorem\nc=1.05\ngamma=0.995\nt=0.5\nd=3\na=1\nx=10000\n"
+        "x-schedule=\nH=100\nout=\nseed=101\ngrid-step=1/200\ntol=1e-9\n"
+        "allow-outside=0\nfixture=\n")
+
+
 def test_allow_outside_parsing():
     for raw, want in [("0", False), ("", False), ("false", False),
                       ("no", False), ("1", True), ("yes", True)]:

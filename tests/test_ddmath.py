@@ -15,7 +15,8 @@ from psexp.numerics import PHASE_BUDGET, PHASE_CAP, T_CAP
 
 def circle_gap(a, b):
     """Distance between the fractional parts of two pairs, on the circle."""
-    d = np.abs(dm.dd_to_float(*dm.dd_frac(*a)) - dm.dd_to_float(*dm.dd_frac(*b)))
+    (ahi, alo), (bhi, blo) = dm.dd_frac(*a), dm.dd_frac(*b)
+    d = np.abs((ahi + alo) - (bhi + blo))
     return np.minimum(d, 1.0 - d)
 
 

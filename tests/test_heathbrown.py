@@ -69,6 +69,15 @@ def test_identity_sweep_j2():
         assert got == pytest.approx(lam[n], abs=1e-9 * (1 + math.log(n)))
 
 
+def test_identity_sweep_reports_the_worst_n():
+    worst, worst_n = hb.identity_sweep(500)
+    assert 0.0 <= worst <= hb.SWEEP_TOL and 1 <= worst_n <= 500
+    want = abs(hb.hb_identity_value(worst_n, 3, worst_n ** (1 / 3))
+               - sieve.sieve_range(0, 500).lam[worst_n - 1]) / (1 + math.log(worst_n))
+    assert worst == want
+    assert hb.identity_sweep(1) == (0.0, 1)
+
+
 def test_identity_with_oversized_cutoff():
     # z beyond n^(1/J) is allowed; the identity still collapses to Lambda
     assert hb.hb_identity_value(12, 3, 12.0) == pytest.approx(0.0, abs=1e-10)

@@ -380,9 +380,9 @@ def test_gamma5_window_is_half_open():
 
 def test_gamma5_schedule_is_a_dyadic_ladder(tmp_path):
     p = Parameters(x=1000.0, c=1.1, gamma=0.95, t=0.5, d=3, a=1)
-    sched = sums.gamma5_schedule(p, levels=4)
-    assert len(sched.xs) == 4
-    assert sched.xs[0] == 1000.0
+    sched = sums.gamma5_schedule(p)
+    assert len(sched.xs) == 8
+    assert sched.xs[0] == 1000.0 and sched.xs[-1] == 7.8125
     for a, b in zip(sched.xs, sched.xs[1:]):
         assert b == a / 2.0
     for x, v in zip(sched.xs, sched.values):
@@ -391,7 +391,11 @@ def test_gamma5_schedule_is_a_dyadic_ladder(tmp_path):
     sched.write_csv(str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,abs_gamma5,claimed_bound"
-    assert len(lines) == 5
+    assert len(lines) == 9
+    given = sums.gamma5_schedule(p, [250.0, 7.8125])
+    assert given.xs == [250.0, 7.8125]
+    assert given.values == [sched.values[2], sched.values[-1]]
+    assert given.claimed == [sched.claimed[2], sched.claimed[-1]]
 
 
 def test_gamma11_matches_frozen_oracle(oracles):

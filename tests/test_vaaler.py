@@ -69,6 +69,24 @@ def test_pointwise_inequality_on_grid(H):
     assert worst <= 1e-10
 
 
+def test_batch_values_are_bitwise_one_point_values():
+    co = vaaler.build_coefficients(100)
+    xs = np.random.default_rng(11).uniform(-2.0, 3.0, 2000)
+    for fn in (lambda x: vaaler.approx_psi(x, co), lambda x: vaaler.majorant(x, co),
+               lambda x: vaaler.naive_fejer_psi(x, 100)):
+        batch = fn(xs)
+        assert batch.tolist() == [fn(float(x)) for x in xs]
+
+
+def test_grid_check_reports_gap_caps_and_verdict():
+    co = vaaler.build_coefficients(10)
+    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(10, np.random.default_rng(3), 1e-10)
+    assert ok and worst <= 1e-10 and 0.0 <= worst_x <= 1.0
+    assert a_cap == co.a_abs_cap() and b_cap == float(np.max(co.b)) * 10
+    again = vaaler.grid_check(10, np.random.default_rng(3), -1.0)
+    assert again[:4] == (worst, worst_x, a_cap, b_cap) and again[4] is False
+
+
 def test_error_shrinks_with_degree():
     xs = np.linspace(0.013, 0.987, 400)
     errs = []

@@ -169,3 +169,9 @@ def test_sweep_is_deterministic():
     b = vdc.standard_sweep()
     assert [(r.label, r.empirical, r.bound) for r in a] == \
            [(r.label, r.empirical, r.bound) for r in b]
+
+
+def test_square_out_trials_is_a_seeded_thousand():
+    first = vdc.square_out_trials(np.random.default_rng(5))
+    assert first == (1000, 0)
+    assert vdc.square_out_trials(np.random.default_rng(5)) == first
