@@ -481,8 +481,8 @@ def dominant_exponent(cat, c, gamma):
 # Derivation report: rebuild the final catalogue from the pre-optimization
 # list and compare against the reference transcription.
 
-def _grid_points(step, include_outside=False):
-    """Open-box grid ((c, gamma) Fractions) at the given rational step."""
+def _grid_points(step):
+    """Open-box grid ((c, gamma) Fractions) at the rational step, in the region."""
     step = _rat(step, "grid_step")
     if step <= 0:
         raise PreconditionError("precondition: grid_step must be positive")
@@ -501,7 +501,7 @@ def _grid_points(step, include_outside=False):
         gs.append(g)
     for c in cs:
         for g in gs:
-            if include_outside or condition_margin(c, g) > 0:
+            if condition_margin(c, g) > 0:
                 yield (c, g)
 
 

@@ -8,9 +8,10 @@ Type I / Type II split, classify_box applies the split to a dyadic box, and
 type_sums evaluates the resulting bilinear sums directly at desk
 scale.  Identities about exponents are checked in exact rationals; sums are
 double precision on top of the pair-arithmetic phase path.  type_sums
-gathers the (m, l) pairs of its window once and takes {h (ml)^gamma} for
-every 1 <= |h| <= H from one pair numerics.frac_pair(ml, gamma, H) by
-numerics.frac_times: one multiply and one floor per h, with error |h| times
+gathers the (m, l) pairs of its window once and runs its h-loop through
+sums.weighted_h_sums, the one Gamma_10 and Gamma_11 use: {h (ml)^gamma} for
+every 1 <= |h| <= H comes from one pair numerics.frac_pair(ml, gamma, H) by
+numerics.frac_times, one multiply and one floor per h, with error |h| times
 the pair's error plus |h| 2^-53 (1.7e-13 measured for |h| <= 10^3).
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from . import numerics, sieve
+from . import numerics, sieve, sums
 from .errors import PreconditionError, ScaleError
 from .exponents import AffineExponent
 
@@ -282,9 +283,10 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
     Sum over 1 <= |h| <= H of |sum_m a(m) sum_l w(l) e(t(ml)^c + h(ml)^g
     + k ml / d)| with w(l) = 1 for 'SI', log l for 'SIprime', b(l) for 'SII'.
     The (m, l) pairs with n = ml in the window are gathered once, with
-    weights a(m) w(l); {t n^c} and the rational part k n / d (reduced
-    exactly in integers) are evaluated once at the gathered n, and {h n^g}
-    comes from one numerics.frac_pair sized for H, one frac_times per h.
+    weights a(m) w(l), and handed as one block to sums.weighted_h_sums with
+    the base phase sums.twisted_phase: {t n^c} + (k n mod d) / d once at the
+    gathered n, and {h n^g} from one frac_pair sized for H, one frac_times
+    per h, in the h order of sums.gamma10_sum.
     """
     if variant not in ("SI", "SIprime", "SII"):
         raise PreconditionError(f"precondition: unknown variant {variant!r}")
@@ -299,7 +301,7 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
     x1 = x if x1 is None else float(x1)
     if not x / 2 <= x1 <= x:
         raise PreconditionError("precondition: need x/2 <= x1 <= x")
-    d, k = params.d, int(k)
+    k = int(k)
     n_lo = math.floor(x / 2)          # exclusive
     n_hi = math.floor(x1)             # inclusive
     n_lo = max(n_lo, (box.M + 1) * (box.L + 1) - 1)
@@ -331,14 +333,7 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
     ns = ms[row] * ls
     weight = a_coeffs[row] * w_l[ls - box.L - 1]
 
-    tc = numerics.phase_mod1_vec(params.t, ns, params.c_float)
-    if d > 1 and k % d:
-        tc = tc + ((k % d) * ns % d).astype(float) / d
-    pair = numerics.frac_pair(ns, params.gamma_float, H)
-
-    total = 0.0
-    for h in range(1, H + 1):
-        for hh in (h, -h):
-            fr = np.mod(tc + numerics.frac_times(pair, hh), 1.0)
-            total += abs(numerics.weighted_e_sum(weight, fr))
-    return float(total)
+    hs = [s * h for h in range(1, H + 1) for s in (1, -1)]
+    inner = sums.weighted_h_sums([(ns, weight)], hs, params.gamma_float,
+                                 lambda n: sums.twisted_phase(n, params, k))
+    return float(sum(abs(v) for v in inner))

@@ -1,7 +1,15 @@
-"""Segmented sieves and the Piatetski-Shapiro membership test.
+"""One segmented sieve and the Piatetski-Shapiro membership test.
 
-Tables are produced over half-open ranges (lo, hi]: a PrimeTable carries
-primality, von Mangoldt Lambda, and Moebius mu for every n in the range.
+Every sieve goes through one crossing-off routine, _cross_off, which marks
+the primes of a half-open range (lo, hi] by striking the multiples of the
+base primes up to sqrt(hi) (a segmented sieve of Eratosthenes, as in Bays
+and Hudson, BIT 17, 1977).  primes_in_ap walks (0, x] in DEFAULT_SEGMENT
+slices and keeps the primes = a (mod d) of each, so no byte array longer
+than one slice is held; primes_up_to is its d = 1 case, and calls itself
+only for the base primes up to sqrt(n).  sieve_range gives a PrimeTable of
+primality and von Mangoldt Lambda over one window (lo, hi].  primes_in_ap
+raises ScaleError past SIEVE_CAP = 2^32 before allocating.
+
 Membership in the Piatetski-Shapiro sequence for exponent gamma is the
 indicator [-n^gamma] - [-(n+1)^gamma], i.e. whether [y1, y2) with
 y1 = n^gamma, y2 = (n+1)^gamma contains an integer.  One kernel, ps_floor,
@@ -10,8 +18,7 @@ delta = y2 - y1 < 1 from float64 give the indicator [{n^gamma} + delta >= 1]
 and {y2}; anything within 1e-9 of an integer goes through an
 escalating-precision certification that never guesses.  ps_mask, the
 decomposition pass and the psi-weights of sums all use it; is_ps_prime is
-the scalar, certified-only oracle.  primes_up_to holds a byte per integer
-and raises ScaleError past SIEVE_CAP = 2^32 before allocating.
+the scalar, certified-only oracle.
 """
 
 from __future__ import annotations
@@ -26,123 +33,101 @@ from . import numerics
 from .errors import BoundaryError, PreconditionError, ScaleError
 
 DEFAULT_SEGMENT = 1 << 22
-SIEVE_CAP = 1 << 32         # primes_up_to holds a byte per integer: 4 GiB at the cap
+SIEVE_CAP = 1 << 32         # the primes up to the cap fill 1.6 GB as int64
 _NEAR_INT = 1e-9
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as int64, by a plain boolean sieve.
+def _cross_off(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """is_prime over (lo, hi]: index i holds n = lo + 1 + i.
 
-    Raises ScaleError, before allocating anything, once n exceeds SIEVE_CAP.
+    base must hold every prime up to sqrt(hi), in ascending order.  Each
+    strikes its multiples from max(p^2, first multiple > lo) on, so a base
+    prime inside the range keeps its mark.
     """
+    n0 = lo + 1
+    is_p = np.ones(hi - lo, dtype=bool)
+    if n0 == 1:
+        is_p[0] = False
+    for p in base.tolist():
+        if p * p > hi:
+            break
+        start = max(p * p, -(-n0 // p) * p)
+        is_p[start - n0:: p] = False
+    return is_p
+
+
+def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
+    """Primes p <= x with p = a (mod d), as int64; gcd(a, d) = 1 required.
+
+    Sieved in DEFAULT_SEGMENT slices of (0, x].  Raises ScaleError, before
+    allocating anything, once x exceeds SIEVE_CAP.
+    """
+    if d < 1 or math.gcd(a, d) != 1:
+        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
+    n = int(math.floor(x))
     if n > SIEVE_CAP:
         raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    base = primes_up_to(math.isqrt(n))
+    out = []
+    for lo in range(0, n, DEFAULT_SEGMENT):
+        ps = lo + 1 + np.flatnonzero(_cross_off(lo, min(lo + DEFAULT_SEGMENT, n), base))
+        out.append(ps[ps % d == a % d] if d > 1 else ps)
+    return np.concatenate(out)
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as int64: primes_in_ap(n, 1, 0)."""
+    return primes_in_ap(n, 1, 0)
 
 
 @dataclass
 class PrimeTable:
-    """Primality / Lambda / mu over (lo, hi]; index i holds n = lo + 1 + i."""
+    """Primality and Lambda over (lo, hi]; index i holds n = lo + 1 + i."""
 
     lo: int
     hi: int
     is_prime: np.ndarray
     lam: np.ndarray
-    mu: np.ndarray | None
 
     def n_values(self) -> np.ndarray:
         return np.arange(self.lo + 1, self.hi + 1, dtype=np.int64)
 
-    def primes(self) -> np.ndarray:
-        return self.lo + 1 + np.flatnonzero(self.is_prime).astype(np.int64)
 
-
-def sieve_range(lo: int, hi: int, mobius: bool = True) -> PrimeTable:
+def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Sieve the half-open range (lo, hi].
 
-    Cost is O((hi - lo) log log hi) plus one pass per base prime for mu; the
-    range is materialized in full, so callers wanting bounded memory should
-    go through iter_segments.
+    Cost is O((hi - lo) log log hi); the range is materialized in full, so
+    callers wanting bounded memory should go through iter_segments.
     """
     if not (0 <= lo < hi):
         raise PreconditionError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     if hi > (1 << 52):
         raise PreconditionError(f"hi = {hi} too large for exact float indexing")
-    size = hi - lo
     base = primes_up_to(math.isqrt(hi))
+    is_p = _cross_off(lo, hi, base)
     n0 = lo + 1
-
-    is_p = np.ones(size, dtype=bool)
-    if n0 == 1:
-        is_p[0] = False
-    for p in base:
-        p = int(p)
-        start = max(p * p, ((n0 + p - 1) // p) * p)
-        if start <= hi:
-            is_p[start - n0:: p] = False
-    # base primes inside the range were knocked out by their own squares only
-    # if p*p <= hi; re-mark p itself when it lies in (lo, hi]
-    for p in base:
-        if lo < p <= hi:
-            is_p[int(p) - n0] = True
-
     n = np.arange(n0, hi + 1, dtype=np.int64)
     lam = np.where(is_p, np.log(n.astype(np.float64)), 0.0)
-    for p in base:
-        p = int(p)
+    for p in base.tolist():
         pk = p * p
         while pk <= hi:
             if pk > lo:
                 lam[pk - n0] = math.log(p)
             pk *= p
-
-    mu = None
-    if mobius:
-        mu = np.ones(size, dtype=np.int8)
-        residual = n.copy()
-        for p in base:
-            p = int(p)
-            start = ((n0 + p - 1) // p) * p
-            if start <= hi:
-                sl = slice(start - n0, None, p)
-                mu[sl] = -mu[sl]
-                residual[sl] //= p
-            p2 = p * p
-            start2 = ((n0 + p2 - 1) // p2) * p2
-            if start2 <= hi:
-                mu[start2 - n0:: p2] = 0
-        big = residual > 1          # exactly one prime factor > sqrt(hi) left
-        mu = np.where(big & (mu != 0), -mu, mu).astype(np.int8)
-        if n0 == 1:
-            mu[0] = 1
-    return PrimeTable(lo, hi, is_p, lam, mu)
+    return PrimeTable(lo, hi, is_p, lam)
 
 
-def iter_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
-                  mobius: bool = False):
+def iter_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT):
     """Yield PrimeTables covering (lo, hi] in slices of at most `segment`."""
     if segment < 2:
         raise PreconditionError(f"segment size must be >= 2, got {segment}")
     a = lo
     while a < hi:
         b = min(a + segment, hi)
-        yield sieve_range(a, b, mobius=mobius)
+        yield sieve_range(a, b)
         a = b
-
-
-def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
-    """Primes p <= x with p = a (mod d); gcd(a, d) = 1 required."""
-    if d < 1 or math.gcd(a, d) != 1:
-        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
-    ps = primes_up_to(int(math.floor(x)))
-    return ps[ps % d == a % d] if d > 1 else ps
 
 
 # ---------------------------------------------------------------------------

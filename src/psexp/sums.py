@@ -20,15 +20,17 @@ from one sieve.ps_floor call per block: the indicator, delta = (p+1)^g - p^g
 (the Gamma_1 weight) and {p^g}, {(p+1)^g} (the Gamma_2 weight), all from a
 single power of p.  The identity then holds term by term up to a few
 roundings, which is what makes the decomposition check a meaningful 1e-8
-assertion at a million terms.  The psi-weights of Gamma_3 .. Gamma_5 come
-from the same kernel.
+assertion at a million terms.  Gamma_3 .. Gamma_5 share one psi-weighted
+loop (_psi_sum) whose psi-weights come from the same kernel.
 
-The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case)
-and Gamma_11 (gamma11_sum) sieve their Lambda-window once and form, per
-block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with anchors
-sized for the largest |h| = H, and {t n^c} + k n / d once; each h then
-costs {h n^gamma} = numerics.frac_times(pair, h), one multiply and one
-floor, instead of a power per h.  Its error is |h| times the pair's error
+The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case),
+Gamma_11 (gamma11_sum) and heathbrown.type_sums share one h-loop,
+weighted_h_sums.  Gamma_10 and Gamma_11 sieve their Lambda-window once.
+Per block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with
+anchors sized for the largest |h| = H and the base phase {t n^c} + k n / d
+(twisted_phase) are formed once; each h then costs {h n^gamma} =
+numerics.frac_times(pair, h), one multiply and one floor, instead of a
+power per h.  Its error is |h| times the pair's error
 plus |h| 2^-53, within what a direct phase_mod1_vec(h, n, gamma) spends
 and within PHASE_BUDGET (measured against 40-digit mpmath for |h| <= 10^3:
 1.7e-13).
@@ -440,26 +442,28 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
 # the Gamma_3 .. Gamma_5 family and the dyadic window sums
 # ---------------------------------------------------------------------------
 
-def _psi_weights(n: np.ndarray, gamma: float) -> np.ndarray:
-    """psi(-(n+1)^gamma) - psi(-n^gamma), certified near integers."""
-    _, f0, f1, _ = sieve.ps_floor(n, gamma)
-    return _psi_of_minus(f1) - _psi_of_minus(f0)
+def _psi_sum(blocks, params: Parameters) -> complex:
+    """sum of weight(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) e(t n^c) over
+    the (n, weight) blocks; the psi-weights are certified near integers."""
+    acc = ComplexAccumulator()
+    for n, weight in blocks:
+        _, f0, f1, _ = sieve.ps_floor(n, params.gamma_float)
+        w = _psi_of_minus(f1) - _psi_of_minus(f0)
+        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
+        acc.add_array(weight * w * z)
+    return acc.value
 
 
 def gamma3_sum(x: float, params: Parameters) -> complex:
     """log-weighted psi-difference sum over primes <= x in the progression."""
     ps = sieve.primes_in_ap(x, params.d, params.a)
-    acc = ComplexAccumulator()
-    for blk in _blocks(ps):
-        w = _psi_weights(blk, params.gamma_float)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
-        acc.add_array(np.log(blk.astype(np.float64)) * w * z)
-    return acc.value
+    return _psi_sum(((blk, np.log(blk.astype(np.float64))) for blk in _blocks(ps)),
+                    params)
 
 
 def _lambda_window(lo: int, hi: int, d: int, a: int):
     """(n, Lambda(n)) blocks over (lo, hi], n = a (mod d), Lambda(n) != 0."""
-    for tab in sieve.iter_segments(lo, hi, mobius=False):
+    for tab in sieve.iter_segments(lo, hi):
         n = tab.n_values()
         lam = tab.lam
         if d > 1:
@@ -471,12 +475,7 @@ def _lambda_window(lo: int, hi: int, d: int, a: int):
 
 def gamma4_sum(x: float, params: Parameters) -> complex:
     """Lambda-weighted psi-difference sum over n <= x in the progression."""
-    acc = ComplexAccumulator()
-    for n, lam in _lambda_window(0, int(math.floor(x)), params.d, params.a):
-        w = _psi_weights(n, params.gamma_float)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
-        acc.add_array(lam * w * z)
-    return acc.value
+    return _psi_sum(_lambda_window(0, int(math.floor(x)), params.d, params.a), params)
 
 
 @dataclass
@@ -512,13 +511,8 @@ def gamma5_sum(x: float, params: Parameters) -> complex:
     """
     if x < 4:
         raise PreconditionError(f"gamma5_sum needs x >= 4, got {x}")
-    acc = ComplexAccumulator()
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    for n, lam in _lambda_window(lo, hi, params.d, params.a):
-        w = _psi_weights(n, params.gamma_float)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
-        acc.add_array(lam * w * z)
-    return acc.value
+    return _psi_sum(_lambda_window(lo, hi, params.d, params.a), params)
 
 
 @dataclass
@@ -556,28 +550,36 @@ def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
 # Gamma_10 / Gamma_11 window sums
 # ---------------------------------------------------------------------------
 
-def _lambda_h_sums(window, hs, gamma: float, base=None) -> list:
-    """[sum of Lambda(n) e(base(n) + h n^gamma) over the window] for each h of hs.
+def weighted_h_sums(window, hs, gamma: float, base=None) -> list:
+    """[sum of w(n) e(base(n) + h n^gamma) over the window] for each h of hs.
 
-    window holds the (n, Lambda(n)) blocks of one sieve.  Per block, base(n)
-    (a phase array in [0, 1), or none) and one {n^gamma} pair sized for the
-    largest |h| (numerics.frac_pair) are formed once; each h then costs one
-    frac_times, so no h re-powers n and no h re-sieves.
+    window holds (n, w(n)) blocks: the Lambda-blocks of one sieve, or the
+    gathered products of heathbrown.type_sums.  Per block, base(n) (a phase
+    array, or none) and one {n^gamma} pair sized for the largest |h|
+    (numerics.frac_pair) are formed once; each h then costs one frac_times,
+    so no h re-powers n and no h re-sieves.
     """
     height = max((abs(h) for h in hs), default=0)
-    blocks = [(lam, None if base is None else base(n),
+    blocks = [(w, None if base is None else base(n),
                frac_pair(n, gamma, height) if height else None)
-              for n, lam in window]
+              for n, w in window]
     out = []
     for h in hs:
         acc = ComplexAccumulator()
-        for lam, b, pair in blocks:
+        for w, b, pair in blocks:
             fr = frac_times(pair, h) if h else 0.0
             if b is not None:
                 fr = np.mod(b + fr, 1.0)
-            acc.add(weighted_e_sum(lam, fr), lam.size)
+            acc.add(weighted_e_sum(w, fr), w.size)
         out.append(acc.value)
     return out
+
+
+def twisted_phase(n: np.ndarray, params: Parameters, k: int) -> np.ndarray:
+    """{t n^c} + (k n mod d) / d, in [0, 2); the rational part is exact."""
+    fr = phase_mod1_vec(params.t, n, params.c_float)
+    d = params.d
+    return fr + ((k % d) * (n % d) % d) / float(d) if d > 1 else fr
 
 
 def gamma11_sum(x: float, H: int, params: Parameters) -> float:
@@ -593,7 +595,7 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
         return 0.0
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
     window = list(_lambda_window(lo, hi, params.d, params.a))
-    inner = _lambda_h_sums(window, range(1, H + 1), params.gamma_float)
+    inner = weighted_h_sums(window, range(1, H + 1), params.gamma_float)
     return 2.0 * float(sum(abs(v) for v in inner))
 
 
@@ -606,14 +608,8 @@ def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
     lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
     if hi <= lo:
         return [0j] * len(hs)
-    d, kd = params.d, int(k) % params.d
-
-    def base(n):
-        fr = phase_mod1_vec(params.t, n, params.c_float)
-        return fr + (kd * (n % d) % d) / float(d) if d > 1 else fr
-
-    return _lambda_h_sums(list(_lambda_window(lo, hi, 1, 0)), hs, params.gamma_float,
-                          base)
+    return weighted_h_sums(list(_lambda_window(lo, hi, 1, 0)), hs, params.gamma_float,
+                           lambda n: twisted_phase(n, params, int(k)))
 
 
 def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> complex:

@@ -23,9 +23,11 @@ The three series (approx_psi, majorant, naive_fejer_psi) are reduced by
 _trig_series, an in-place weight and a row sum, not by a matrix product: a
 BLAS gemv sums in an order that follows the thread count and the batch
 shape, while numpy's row sum gives every x bitwise the value of a one-point
-call.  grid_check is the one check of the approximation that
-`psexp vaaler` and `psexp suite` run: the pointwise inequality on a fixed grid
-plus random points, and the caps max |a(h) h| <= A_CAP, max b(h) H <= B_CAP.
+call.  The rows go in chunks of at most TABLE_ELEMS table entries, so memory
+stays bounded at any H up to H_MAX.  grid_check is the one check of the
+approximation that `psexp vaaler` and `psexp suite` run: the pointwise
+inequality on a fixed grid plus random points, and the caps
+max |a(h) h| <= A_CAP, max b(h) H <= B_CAP.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import PreconditionError
 H_MAX = 10 ** 6
 A_CAP = 1.0 + 1e-12      # max |a(h) h| = max Phi / (2 pi) <= 1 / (2 pi)
 B_CAP = 4.0 + 1e-12      # max b(h) H = H / (H+1) < 1
+TABLE_ELEMS = 1 << 18    # largest angle table _trig_series forms: 2 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,21 @@ def build_coefficients(H: int) -> VaalerCoefficients:
 
 
 def _trig_series(trig, x, w: np.ndarray):
-    """sum_{h=1}^{len(w)} w[h-1] trig(2 pi h {x}), one row sum per x."""
+    """sum_{h=1}^{len(w)} w[h-1] trig(2 pi h {x}), one row sum per x.
+
+    The x are taken in chunks of max(1, TABLE_ELEMS // len(w)) rows, so the
+    angle table holds at most TABLE_ELEMS entries (or one row) whatever H.
+    """
     x = np.asarray(x, dtype=np.float64)
-    r = x - np.floor(x)
-    T = trig(2.0 * math.pi * np.multiply.outer(r, np.arange(1, w.size + 1, dtype=np.float64)))
-    T *= w
-    return T.sum(axis=-1)
+    r = (x - np.floor(x)).reshape(-1)
+    h = np.arange(1, w.size + 1, dtype=np.float64)
+    rows = max(1, TABLE_ELEMS // w.size)
+    out = np.empty(r.size)
+    for i in range(0, r.size, rows):
+        T = trig(2.0 * math.pi * np.multiply.outer(r[i:i + rows], h))
+        T *= w
+        out[i:i + rows] = T.sum(axis=-1)
+    return out.reshape(x.shape)
 
 
 def approx_psi(x, coeffs: VaalerCoefficients):

@@ -42,7 +42,7 @@ def test_first_primes():
 def test_sieve_range_matches_whole_interval():
     whole = sieve.sieve_range(0, 3000)
     ps = set(sieve.primes_up_to(3000).tolist())
-    assert set(whole.primes().tolist()) == ps
+    assert set(whole.n_values()[whole.is_prime].tolist()) == ps
     # index i holds n = lo + 1 + i
     assert whole.n_values()[0] == 1 and whole.n_values()[-1] == 3000
 
@@ -50,7 +50,7 @@ def test_sieve_range_matches_whole_interval():
 def test_sieve_range_offset_window():
     t = sieve.sieve_range(100, 200)
     expect = [p for p in sieve.primes_up_to(200) if p > 100]
-    assert list(t.primes()) == expect
+    assert list(t.n_values()[t.is_prime]) == expect
 
 
 def test_sieve_range_rejects_bad_bounds():
@@ -70,13 +70,6 @@ def test_von_mangoldt_small_values():
     assert lam[12] == 0.0 and lam[30] == 0.0
 
 
-def test_mobius_small_values():
-    t = sieve.sieve_range(0, 30)
-    mu = {int(n): int(v) for n, v in zip(t.n_values(), t.mu)}
-    assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0
-    assert mu[6] == 1 and mu[30] == -1 and mu[9] == 0
-
-
 @given(st.integers(min_value=2, max_value=400))
 def test_lambda_sums_to_log_over_divisors(n):
     t = sieve.sieve_range(0, n)
@@ -84,20 +77,12 @@ def test_lambda_sums_to_log_over_divisors(n):
     assert total == pytest.approx(math.log(n), abs=1e-9)
 
 
-@given(st.integers(min_value=1, max_value=400))
-def test_mobius_sums_to_unit_indicator(n):
-    t = sieve.sieve_range(0, n)
-    total = sum(int(t.mu[d - 1]) for d in range(1, n + 1) if n % d == 0)
-    assert total == (1 if n == 1 else 0)
-
-
 def test_segments_concatenate_to_whole_range():
-    parts = list(sieve.iter_segments(0, 10000, segment=977, mobius=True))
+    parts = list(sieve.iter_segments(0, 10000, segment=977))
     assert parts[0].lo == 0 and parts[-1].hi == 10000
     whole = sieve.sieve_range(0, 10000)
     assert np.array_equal(np.concatenate([p.is_prime for p in parts]),
                           whole.is_prime)
-    assert np.array_equal(np.concatenate([p.mu for p in parts]), whole.mu)
     assert np.max(np.abs(np.concatenate([p.lam for p in parts]) - whole.lam)) == 0.0
 
 
@@ -114,6 +99,41 @@ def test_segment_split_invariance(lo, seg):
 def test_iter_segments_rejects_tiny_segment():
     with pytest.raises(PreconditionError):
         list(sieve.iter_segments(0, 10, segment=1))
+
+
+def _reference_primes(n):
+    """Primes <= n from a plain list sieve, independent of psexp.sieve."""
+    mark = [k >= 2 for k in range(n + 1)]
+    for p in range(2, math.isqrt(n) + 1):
+        if mark[p]:
+            for m in range(p * p, n + 1, p):
+                mark[m] = False
+    return [k for k in range(n + 1) if mark[k]]
+
+
+@pytest.mark.parametrize("segment", [2, 977])
+def test_slices_match_a_plain_sieve_at_slice_edges(monkeypatch, segment):
+    # n on and next to slice edges; n = 3 * 977 + 5 ends in a slice of 5,
+    # shorter than its largest base prime 53, as every n >= 9 does at 2
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    sizes = []
+    cross_off = sieve._cross_off
+
+    def recording(lo, hi, base):
+        sizes.append(hi - lo)
+        return cross_off(lo, hi, base)
+
+    monkeypatch.setattr(sieve, "_cross_off", recording)
+    ns = sorted({k * segment + j for k in (1, 2, 3, 150) for j in (-1, 0, 1, 5)})
+    ref = np.array(_reference_primes(max(ns)), dtype=np.int64)
+    for n in ns:
+        want = ref[ref <= n]
+        assert sieve.primes_up_to(n).tolist() == want.tolist(), n
+        for d, a in ((1, 0), (3, 1), (3, 2), (4, 3), (10, 7), (30, 1)):
+            got = sieve.primes_in_ap(n + 0.5, d, a)
+            assert got.dtype == np.int64
+            assert got.tolist() == want[want % d == a % d].tolist(), (n, d, a)
+    assert max(sizes) == segment
 
 
 # ---------------------------------------------------------------------------

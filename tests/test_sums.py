@@ -274,17 +274,19 @@ def test_trend_rows_are_bitwise_one_point_runs(monkeypatch, seed):
 
 
 def test_trend_sieves_once(monkeypatch):
+    # one pass over (0, max(xs)]; the base primes up to sqrt(1e5) = 316.2
+    # are sieved on the way and do not count as a second sieve
     calls = []
-    primes_up_to = sieve.primes_up_to
+    cross_off = sieve._cross_off
 
-    def counting(n):
-        calls.append(n)
-        return primes_up_to(n)
+    def counting(lo, hi, base):
+        calls.append((lo, hi))
+        return cross_off(lo, hi, base)
 
-    monkeypatch.setattr(sieve, "primes_up_to", counting)
+    monkeypatch.setattr(sieve, "_cross_off", counting)
     p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
-    assert calls == [100_000]
+    assert [c for c in calls if c[1] > 316] == [(0, 100_000)]
 
 
 def test_geometric_schedule_endpoints():

@@ -78,6 +78,35 @@ def test_batch_values_are_bitwise_one_point_values():
         assert batch.tolist() == [fn(float(x)) for x in xs]
 
 
+@pytest.mark.parametrize("elems", [1, 250, 1000])
+def test_row_chunks_keep_one_point_values(monkeypatch, elems):
+    # one row per chunk, then 2 and 10 rows per chunk with a last chunk of 1
+    co = vaaler.build_coefficients(100)
+    xs = np.random.default_rng(12).uniform(-2.0, 3.0, 301)
+    fns = (lambda x: vaaler.approx_psi(x, co), lambda x: vaaler.majorant(x, co),
+           lambda x: vaaler.naive_fejer_psi(x, 100))
+    whole = [fn(xs).tolist() for fn in fns]
+    monkeypatch.setattr(vaaler, "TABLE_ELEMS", elems)
+    for fn, want in zip(fns, whole):
+        assert fn(xs).tolist() == want
+        assert [fn(float(x)) for x in xs] == want
+
+
+def test_large_degree_table_stays_bounded():
+    # the whole 2001 x 4000 angle table would take 64 MB
+    import tracemalloc
+
+    co = vaaler.build_coefficients(4000)
+    xs = np.linspace(0.0, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        vaaler.pointwise_check(xs, co)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * vaaler.TABLE_ELEMS + (1 << 20)
+
+
 def test_grid_check_reports_gap_caps_and_verdict():
     co = vaaler.build_coefficients(10)
     worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(10, np.random.default_rng(3), 1e-10)
