@@ -37,8 +37,9 @@ print(f"claimed exponent c/18 + gamma/2 + 143/342 = "
       f"(= {float(ex.CLAIMED_X_EXPONENT.at(c, g)):.6f})")
 print()
 
-# re-derive the final catalogue from the imported pieces and reconcile
-rep = ex.derive_gamma5_catalogue(grid_step=F(1, 100))
+# re-derive the final catalogue from the imported pieces and reconcile;
+# dominance between affine exponents is decided at the region's three vertices
+rep = ex.derive_gamma5_catalogue()
 print(f"derivation: {len(rep.matched)} matched, "
       f"{len(rep.reference_dominated)} dominated, "
       f"{len(rep.reference_unmatched)} unmatched, "

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +45,14 @@ _DEFAULTS = {
     "fixture": "",
 }
 _FIELDS = tuple(_DEFAULTS)    # config keys in header order; each but command is a --flag
+
+
+def _typed(key: str, raw: str, kind):
+    """kind(raw), or a PreconditionError that names the config key."""
+    try:
+        return kind(raw)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
 
 
 class RunConfig:
@@ -78,46 +85,52 @@ class RunConfig:
     def header_lines(self):
         return self.serialize().splitlines()
 
-    # typed views ----------------------------------------------------------
+    # typed views: a value that does not convert is a PreconditionError ------
+    def _view(self, key: str, kind):
+        return _typed(key, self.values[key], kind)
+
     @property
     def c(self) -> Fraction:
-        return Fraction(self.values["c"])
+        return self._view("c", Fraction)
 
     @property
     def gamma(self) -> Fraction:
-        return Fraction(self.values["gamma"])
+        return self._view("gamma", Fraction)
 
     @property
     def t(self) -> float:
-        return float(self.values["t"])
+        return self._view("t", float)
 
     @property
     def d(self) -> int:
-        return int(self.values["d"])
+        return self._view("d", int)
 
     @property
     def a(self) -> int:
-        return int(self.values["a"])
+        return self._view("a", int)
 
     @property
     def x(self) -> float:
-        return float(self.values["x"])
+        return self._view("x", float)
 
     @property
     def H(self) -> int:
-        return int(self.values["H"])
+        return self._view("H", int)
 
     @property
     def seed(self) -> int:
-        return int(self.values["seed"])
+        seed = self._view("seed", int)
+        if seed < 0:
+            raise PreconditionError(f"seed must be >= 0, got {seed}")
+        return seed
 
     @property
     def grid_step(self) -> Fraction:
-        return Fraction(self.values["grid-step"])
+        return self._view("grid-step", Fraction)
 
     @property
     def tol(self) -> float:
-        return float(self.values["tol"])
+        return self._view("tol", float)
 
     @property
     def allow_outside(self) -> bool:
@@ -139,9 +152,9 @@ class RunConfig:
             parts = raw.split(":")
             if len(parts) not in (2, 3):
                 raise PreconditionError(f"bad x-schedule {raw!r}, want lo:hi[:factor]")
-            factor = float(parts[2]) if len(parts) == 3 else math.sqrt(10.0)
-            return sums.geometric_schedule(float(parts[0]), float(parts[1]), factor)
-        return [float(s) for s in raw.split(",")]
+            lo, hi, *factor = (_typed("x-schedule", s, float) for s in parts)
+            return sums.geometric_schedule(lo, hi, *factor)
+        return [_typed("x-schedule", s, float) for s in raw.split(",")]
 
     def parameters(self) -> Parameters:
         return Parameters(x=self.x, c=self.c, gamma=self.gamma, t=self.t,
@@ -182,7 +195,7 @@ def cmd_region(cfg: RunConfig) -> int:
     rep = exponents.region_report(cfg.grid_step)
     out = cfg.out("region_map.csv")
     rep.write_csv(out, header_comments=cfg.header_lines())
-    cat = exponents.derive_gamma5_catalogue(grid_step=cfg.grid_step)
+    cat = exponents.derive_gamma5_catalogue()
     findings = {"region": rep.findings(), "catalogue": cat.findings()}
     fpath = _findings_path(out)
     with open(fpath, "w") as fh:

@@ -437,18 +437,18 @@ def in_region(c, gamma):
             and condition_margin(c, gamma) > 0)
 
 
-def dominates(t1, t2, points=_VERTICES):
-    """t1 >= t2 as bounds for H >= 1, x >= 1, at every sample point.
+def dominates(t1, t2):
+    """t1 >= t2 as bounds for H >= 1, x >= 1, on the whole region.
 
     Exponent-level comparison: coefficients are ignored, H-powers compare
-    directly, x-exponents compare at each (c, gamma) sample.  With affine
-    exponents and a convex region the vertices alone decide it; extra sample
-    points are harmless.
+    directly.  The x-exponents are affine in (c, gamma) and the region is the
+    triangle _VERTICES, so t1 >= t2 holds on it exactly when it holds at the
+    three vertices.
     """
     if t1.h_exp < t2.h_exp:
         return False
     d = t1.x_exp - t2.x_exp
-    return all(d.at(c, g) >= 0 for c, g in points)
+    return all(d.at(c, g) >= 0 for c, g in _VERTICES)
 
 
 def dominant_exponent(cat, c, gamma):
@@ -481,30 +481,6 @@ def dominant_exponent(cat, c, gamma):
 # Derivation report: rebuild the final catalogue from the pre-optimization
 # list and compare against the reference transcription.
 
-def _grid_points(step):
-    """Open-box grid ((c, gamma) Fractions) at the rational step, in the region."""
-    step = _rat(step, "grid_step")
-    if step <= 0:
-        raise PreconditionError("precondition: grid_step must be positive")
-    cs, c = [], C_LO // step * step
-    while True:
-        c += step
-        if c >= C_HI:
-            break
-        if c > C_LO:
-            cs.append(c)
-    gs, g = [], F(0)
-    while True:
-        g += step
-        if g >= 1:
-            break
-        gs.append(g)
-    for c in cs:
-        for g in gs:
-            if condition_margin(c, g) > 0:
-                yield (c, g)
-
-
 @dataclass
 class CatalogueReport:
     """Outcome of re-deriving the final catalogue from the pre-optimization list."""
@@ -516,7 +492,6 @@ class CatalogueReport:
     computed_extra: list
     pruned: list
     notes: list
-    sample_points: int
 
     def findings(self):
         out = []
@@ -551,7 +526,7 @@ class CatalogueReport:
             fh.write("\n")
 
 
-def derive_gamma5_catalogue(h2_exponent=10, grid_step=F(1, 200)):
+def derive_gamma5_catalogue(h2_exponent=10):
     """Re-derive the final catalogue and reconcile it with the transcription.
 
     The optimization window is [1, x^h2_exponent]: the bound holds for every
@@ -559,7 +534,9 @@ def derive_gamma5_catalogue(h2_exponent=10, grid_step=F(1, 200)):
     every falling term below the rest of the catalogue on the region; the
     pruning step removes those and records that it did.  Matching is exact
     field-wise equality of x-exponents; reference terms nobody reproduces are
-    reported (dominated or unmatched), never patched.
+    reported (dominated or unmatched), never patched.  Dominance is decided
+    at the region's vertices (dominates); a dominated reference term's
+    witness is the vertex of largest gap.
     """
     cats = reference_catalogues()
     pre, ref = cats["gamma5_pre"], cats["gamma5_final"]
@@ -567,23 +544,9 @@ def derive_gamma5_catalogue(h2_exponent=10, grid_step=F(1, 200)):
     h2 = term(_rat(h2_exponent, "h2_exponent"), label="H2")
     candidates = srinivasan_optimize(pre, h1, h2)
 
-    samples = list(_grid_points(grid_step)) + list(_VERTICES)
-    values = {t.label: [t.x_exp.at(c, g) for c, g in samples] for t in candidates}
-
-    def dominated_by(t, pool, skip=()):
-        mine = values.get(t.label) or [t.x_exp.at(c, g) for c, g in samples]
-        for other in pool:
-            if other.label in skip or other.key() == t.key():
-                continue
-            theirs = values.get(other.label) or [other.x_exp.at(c, g)
-                                                 for c, g in samples]
-            if all(a >= b for a, b in zip(theirs, mine)):
-                return other.label
-        return None
-
     pruned, kept = [], TermSet()
     for t in candidates:
-        by = dominated_by(t, candidates, skip={t.label})
+        by = next((o.label for o in candidates if o is not t and dominates(o, t)), None)
         if by is not None and ref.find(t.x_exp) is None:
             pruned.append((t.label, t, by))
         else:
@@ -596,30 +559,18 @@ def derive_gamma5_catalogue(h2_exponent=10, grid_step=F(1, 200)):
             matched.append((rt.label, hit.label, rt))
             continue
         # not reproduced: is some computed term at least as large everywhere?
-        rvals = [rt.x_exp.at(c, g) for c, g in samples]
-        cover = None
-        for t in kept:
-            tvals = values[t.label]
-            if all(a >= b for a, b in zip(tvals, rvals)):
-                diffs = [(a - b, i) for i, (a, b) in enumerate(zip(tvals, rvals))]
-                gap, i = max(diffs)
-                cover = (rt.label, rt, t.label, samples[i], gap)
-                break
-        if cover is not None:
-            ref_dominated.append(cover)
-        else:
+        cover = next((t for t in kept if dominates(t, rt)), None)
+        if cover is None:
             ref_unmatched.append((rt.label, rt))
+            continue
+        d = cover.x_exp - rt.x_exp
+        gap, i = max((d.at(c, g), i) for i, (c, g) in enumerate(_VERTICES))
+        ref_dominated.append((rt.label, rt, cover.label, _VERTICES[i], gap))
 
     computed_extra = []
     for t in kept:
         if ref.find(t.x_exp) is None:
-            by = None
-            tvals = values[t.label]
-            for rt in ref:
-                rvals = [rt.x_exp.at(c, g) for c, g in samples]
-                if all(a >= b for a, b in zip(rvals, tvals)):
-                    by = rt.label
-                    break
+            by = next((rt.label for rt in ref if dominates(rt, t)), None)
             computed_extra.append((t.label, t, by, None))
 
     notes = [
@@ -629,7 +580,7 @@ def derive_gamma5_catalogue(h2_exponent=10, grid_step=F(1, 200)):
         " bracket irregularly in the source",
     ]
     return CatalogueReport(kept, matched, ref_dominated, ref_unmatched,
-                           computed_extra, pruned, notes, len(samples))
+                           computed_extra, pruned, notes)
 
 
 # --------------------------------------------------------------------------

@@ -6,13 +6,14 @@ e(t n^c + h n^gamma + k n / d).  The fractional parts come from numerics
 Neumaier-compensated, and ranges are processed in fixed-size blocks combined
 in index order, so repeated runs are bit-identical.
 
-Each side of the theorem has one checkpointed pass (_checkpointed): a walk
-over the primes up to the largest x of a schedule reports at every x,
-bitwise as a walk to that x alone would.  theorem_trend sieves once and
-hands the primes to both passes; gamma_decomposition and rhs_main are the
-one-x case.
+The primes up to the largest x of a schedule are walked once
+(_checkpointed): per slice the walk forms e(t p^c) once and hands it to each
+side it is given, the decomposition side (pi_gamma, Gamma_1, Gamma_2) and
+the main-term side, and it reports every side at every x, bitwise as a walk
+to that x alone would.  theorem_trend sieves once and walks once with both
+sides; gamma_decomposition and rhs_main each walk to one x with their own.
 
-The decomposition pass takes every per-prime value of the bracket identity
+The decomposition side takes every per-prime value of the bracket identity
 
     [-p^g] - [-(p+1)^g] = ((p+1)^g - p^g) + (psi(-(p+1)^g) - psi(-p^g))
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 import copy
 import csv
 import math
-import time
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -89,7 +89,7 @@ class ComplexAccumulator:
 
 @dataclass
 class SumReport:
-    """A finished sum: value, term count, precision budget, wall time.
+    """A finished sum: value, term count, precision budget.
 
     weight_bound is the sum of |weights| (= n_terms for unit-modulus sums);
     the triangle inequality |value| <= weight_bound + phase_error_bound is
@@ -99,7 +99,6 @@ class SumReport:
     value: complex
     n_terms: int
     phase_error_bound: float
-    elapsed: float
     weight_bound: float = None
 
     def __post_init__(self):
@@ -127,41 +126,45 @@ def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> flo
 
 def pi_sum(params: Parameters) -> SumReport:
     """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
-    t0 = time.perf_counter()
     ps = sieve.primes_in_ap(params.x, params.d, params.a)
     acc = ComplexAccumulator()
     for blk in _blocks(ps):
         acc.add_array(e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float)))
-    return SumReport(acc.value, int(ps.size), _phase_bound(ps.size, 1, ps.size),
-                     time.perf_counter() - t0)
+    return SumReport(acc.value, int(ps.size), _phase_bound(ps.size, 1, ps.size))
 
 
-def _checkpointed(ps: np.ndarray, xs, terms, fold, state, finish) -> list:
-    """One report per x of the ascending xs, from a single walk over ps.
+def _checkpointed(params: Parameters, ps: np.ndarray, xs, sides) -> list:
+    """For each side, one report per x of the ascending xs, from one walk over ps.
 
-    ps holds the primes p <= max(xs), p = a (mod d), in ascending order; the
-    caller sieves them once and may hand the same array to several passes.
-    They are walked in BLOCK slices.  terms(blk, nxt) evaluates one slice per
-    element (nxt[i] is the prime after blk[i]; the last one is missing at the
-    very end).  fold(state, arrays, k, x) adds the first k elements to the
-    state; x is None for a whole slice, or the checkpoint when the slice
-    holds the last prime <= x.  Each checkpoint folds its slice into a copy
-    of the state, so its report is bitwise the one a walk to that x alone
-    gives.
+    ps holds the primes p <= max(xs), p = a (mod d), in ascending order.
+    They are walked in BLOCK slices, and each slice's z = e(t p^c) is formed
+    once and handed to every side.  A side is a namespace of terms, fold,
+    state and finish.  terms(blk, nxt, z) evaluates one slice per element
+    (nxt[i] is the prime after blk[i]; the last one is missing at the very
+    end).  fold(state, arrays, k, x) adds the first k elements to the state;
+    x is None for a whole slice, or the checkpoint when the slice holds the
+    last prime <= x.  Each checkpoint folds its slice into a copy of every
+    state, so its report is bitwise the one a walk to that x alone gives.
     """
     def slice_terms(s):
-        return terms(ps[s:s + BLOCK], ps[s + 1:s + 1 + BLOCK])
+        blk, nxt = ps[s:s + BLOCK], ps[s + 1:s + 1 + BLOCK]
+        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
+        return [side.terms(blk, nxt, z) for side in sides]
 
-    reports, done, arrays = [], 0, None     # done: primes folded into state
+    reports = [[] for _ in sides]
+    done, arrays = 0, None                  # done: primes folded into the states
     for x, end in zip(xs, np.searchsorted(ps, xs, side="right")):
         while end > done + BLOCK:           # x lies past this slice
-            fold(state, arrays or slice_terms(done), BLOCK, None)
+            for side, arr in zip(sides, arrays or slice_terms(done)):
+                side.fold(side.state, arr, BLOCK, None)
             done, arrays = done + BLOCK, None
-        snap = copy.deepcopy(state)
+        snaps = copy.deepcopy([side.state for side in sides])
         if end > done:
             arrays = arrays or slice_terms(done)
-            fold(snap, arrays, int(end) - done, x)
-        reports.append(finish(snap, x))
+            for side, snap, arr in zip(sides, snaps, arrays):
+                side.fold(snap, arr, int(end) - done, x)
+        for side, snap, out in zip(sides, snaps, reports):
+            out.append(side.finish(snap, x))
     return reports
 
 
@@ -176,7 +179,7 @@ def _psi_of_minus(f: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecompositionReport:
-    """pi_gamma, Gamma_1, Gamma_2 from one pass, plus the identity residue.
+    """pi_gamma, Gamma_1, Gamma_2 from one walk, plus the identity residue.
 
     mask_mismatches is 0 by construction: the pass takes its indicator from
     sieve.ps_floor, which ps_mask also returns, so no second membership
@@ -189,7 +192,6 @@ class DecompositionReport:
     identity_gap: float
     weight_sum: float
     mask_mismatches: int
-    elapsed: float
 
     @property
     def tolerance(self) -> float:
@@ -200,20 +202,18 @@ class DecompositionReport:
         return self.identity_gap <= self.tolerance
 
 
-def _decomposition_pass(params: Parameters, ps: np.ndarray, xs) -> list:
-    """DecompositionReport at each ascending x, from shared per-prime values.
+def _decomposition_side(params: Parameters) -> SimpleNamespace:
+    """The walk's side that gives a DecompositionReport at each x.
 
     One sieve.ps_floor call per block gives the indicator, the Gamma_1 weight
     delta = (p+1)^g - p^g and both psi arguments, so mask_mismatches is 0 by
     construction.
     """
-    t0 = time.perf_counter()
     gf = params.gamma_float
 
-    def terms(blk, nxt):
+    def terms(blk, nxt, z):
         member, f0, f1, delta = sieve.ps_floor(blk, gf)
         w2 = _psi_of_minus(f1) - _psi_of_minus(f0)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
         return z, delta, w2, member
 
     def fold(st, arrays, k, x):
@@ -226,22 +226,19 @@ def _decomposition_pass(params: Parameters, ps: np.ndarray, xs) -> list:
         st.n_kept += kept
 
     def finish(st, x):
-        elapsed = time.perf_counter() - t0
-        pg = SumReport(st.pg.value, st.n_kept, _phase_bound(st.n_kept, 1, st.n_kept),
-                       elapsed)
+        pg = SumReport(st.pg.value, st.n_kept, _phase_bound(st.n_kept, 1, st.n_kept))
         gap = abs(pg.value - st.g1.value - st.g2.value)
-        return DecompositionReport(pg, st.g1.value, st.g2.value, gap,
-                                   st.weight_sum, 0, elapsed)
+        return DecompositionReport(pg, st.g1.value, st.g2.value, gap, st.weight_sum, 0)
 
     state = SimpleNamespace(pg=ComplexAccumulator(), g1=ComplexAccumulator(),
                             g2=ComplexAccumulator(), weight_sum=0.0, n_kept=0)
-    return _checkpointed(ps, xs, terms, fold, state, finish)
+    return SimpleNamespace(terms=terms, fold=fold, state=state, finish=finish)
 
 
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
     ps = sieve.primes_in_ap(params.x, params.d, params.a)
-    return _decomposition_pass(params, ps, [params.x])[0]
+    return _checkpointed(params, ps, [params.x], [_decomposition_side(params)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +274,8 @@ def _step_integral(lo: np.ndarray, hi, gamma: float) -> np.ndarray:
     return np.power(lo, e) * np.expm1(e * log_ratio) / e
 
 
-def _main_term_pass(params: Parameters, ps: np.ndarray, xs) -> list:
-    """MainTermPair at each ascending x, with one e(t p^c) per prime.
+def _main_term_side(params: Parameters) -> SimpleNamespace:
+    """The walk's side that gives a MainTermPair at each x.
 
     gamma x^(gamma-1) pi(x) + gamma(1-gamma) integral of y^(gamma-2) pi(y),
     two ways.  The quadrature route integrates the step function pi(y)
@@ -287,10 +284,9 @@ def _main_term_pass(params: Parameters, ps: np.ndarray, xs) -> list:
     """
     gf = params.gamma_float
 
-    def terms(blk, nxt):
+    def terms(blk, nxt, z):
         lo = blk.astype(np.float64)
         hi = np.concatenate([nxt, blk[nxt.size:]]).astype(np.float64)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
         return z, gf * np.power(lo, gf - 1.0) * z, lo, _step_integral(lo, hi, gf)
 
     def fold(st, arrays, k, x):
@@ -314,13 +310,13 @@ def _main_term_pass(params: Parameters, ps: np.ndarray, xs) -> list:
 
     state = SimpleNamespace(closed=ComplexAccumulator(), integral=ComplexAccumulator(),
                             pi_y=0j)
-    return _checkpointed(ps, xs, terms, fold, state, finish)
+    return SimpleNamespace(terms=terms, fold=fold, state=state, finish=finish)
 
 
 def rhs_main(params: Parameters) -> MainTermPair:
     """The main term at params.x (one checkpoint), by quadrature and closed form."""
     ps = sieve.primes_in_ap(params.x, params.d, params.a)
-    return _main_term_pass(params, ps, [params.x])[0]
+    return _checkpointed(params, ps, [params.x], [_main_term_side(params)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +407,9 @@ class TrendReport:
 def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendReport:
     """lhs = pi_gamma, main (closed form) and err = lhs - main at each x.
 
-    One sieve to max(xs) feeds one decomposition pass and one main-term pass,
-    which serve the whole schedule; rows keep the order of xs (duplicates included), and each is
-    bitwise the row a one-point schedule at that x gives.
+    One sieve to max(xs) and one walk with the decomposition and main-term
+    sides serve the whole schedule; rows keep the order of xs (duplicates
+    included), and each is bitwise the row a one-point schedule at that x gives.
     """
     if not params.region_ok and not allow_outside:
         raise PreconditionError(
@@ -427,14 +423,15 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
             raise PreconditionError(f"schedule x must be finite, got {x}")
     grid = sorted(set(xs))
     ps = sieve.primes_in_ap(max(grid, default=0.0), params.d, params.a)
-    decs = dict(zip(grid, _decomposition_pass(params, ps, grid)))
-    pairs = dict(zip(grid, _main_term_pass(params, ps, grid)))
+    sides = [_decomposition_side(params), _main_term_side(params)]
+    at = dict(zip(grid, zip(*_checkpointed(params, ps, grid, sides))))
     expo = float(params.claimed_exponent())
     rows = []
     for x in xs:
-        lhs, main = decs[x].pi_gamma.value, pairs[x].closed_form
+        dec, pair = at[x]
+        lhs, main = dec.pi_gamma.value, pair.closed_form
         rows.append(TheoremReport(lhs, main, lhs - main, x, replace(params, x=x),
-                                  expo, decs[x], pairs[x]))
+                                  expo, dec, pair))
     return TrendReport(rows, params)
 
 

@@ -131,6 +131,24 @@ def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("theorem", "x-schedule", "abc"), ("theorem", "x-schedule", "1e5:"),
+    ("theorem", "c", "abc"), ("theorem", "c", "1/0"), ("theorem", "d", "1.5"),
+    ("vaaler", "H", "1e3"), ("vaaler", "seed", "x"), ("vaaler", "seed", "-1"),
+    ("region", "grid-step", "x")])
+def test_malformed_value_exits_2(tmp_path, capsys, command, key, value):
+    # the same conversion serves a flag and a config-file line
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key}={value}\n")
+    out = tmp_path / "out.csv"
+    for argv in ([f"--{key}", value], ["--config", str(cfgfile)]):
+        assert run([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_theorem_beyond_the_sieve_cap_exits_2(tmp_path, capsys, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the sieve allocated past its cap")

@@ -260,7 +260,7 @@ def test_region_csv_layout(tmp_path):
 
 @pytest.fixture(scope="module")
 def derivation():
-    return ex.derive_gamma5_catalogue(grid_step=F(1, 100))
+    return ex.derive_gamma5_catalogue()
 
 
 def test_derivation_reconciles_the_reference(derivation):
@@ -293,8 +293,3 @@ def test_derivation_findings_are_serializable(derivation, tmp_path):
     dominated = next(d for d in data if d["status"] == "dominated")
     assert dominated["reference"] == "T20"
     assert dominated["witness_point"] is not None
-
-
-def test_derivation_rejects_bad_grid():
-    with pytest.raises(PreconditionError):
-        ex.derive_gamma5_catalogue(grid_step=F(-1, 10))

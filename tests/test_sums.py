@@ -49,12 +49,10 @@ def test_accumulator_tracks_term_count():
 
 
 def test_sum_report_invariant():
-    rep = sums.SumReport(value=3 + 4j, n_terms=10, phase_error_bound=1e-6,
-                         elapsed=0.0)
+    rep = sums.SumReport(value=3 + 4j, n_terms=10, phase_error_bound=1e-6)
     assert rep.weight_bound == 10.0
     assert rep.invariant_ok
-    bad = sums.SumReport(value=20 + 0j, n_terms=10, phase_error_bound=1e-6,
-                         elapsed=0.0)
+    bad = sums.SumReport(value=20 + 0j, n_terms=10, phase_error_bound=1e-6)
     assert not bad.invariant_ok
 
 
@@ -136,10 +134,10 @@ def test_decomposition_identity_with_phases():
 @pytest.mark.parametrize("gamma", [0.9, 0.995])
 def test_pass_membership_matches_is_ps_prime(gamma):
     # a checkpoint at every prime: successive pi_gamma term counts are the
-    # pass's own indicator, prime by prime
+    # decomposition side's own indicator, prime by prime
     ps = sieve.primes_in_ap(2e4, 1, 0)
     p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
-    reps = sums._decomposition_pass(p, ps, ps.astype(float))
+    (reps,) = sums._checkpointed(p, ps, ps.astype(float), [sums._decomposition_side(p)])
     kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
     assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
     assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
@@ -287,6 +285,24 @@ def test_trend_sieves_once(monkeypatch):
     p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
     assert [c for c in calls if c[1] > 316] == [(0, 100_000)]
+
+
+def test_trend_phases_once(monkeypatch):
+    # one walk: e(t p^c) is formed once per prime for both sides together
+    p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    elems = []
+    phase = sums.phase_mod1_vec
+
+    def counting(t, n, c):
+        if c == p.c_float:
+            elems.append(np.size(n))
+        return phase(t, n, c)
+
+    monkeypatch.setattr(sums, "phase_mod1_vec", counting)
+    monkeypatch.setattr(sums, "BLOCK", 256)      # checkpoints fall inside slices
+    xs = sums.geometric_schedule(1e3, 2e4)
+    sums.theorem_trend(p, xs)
+    assert sum(elems) == sieve.primes_in_ap(max(xs), p.d, p.a).size
 
 
 def test_geometric_schedule_endpoints():
