@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -111,7 +112,10 @@ class RunConfig:
 
     @property
     def x(self) -> float:
-        return self._view("x", float)
+        x = self._view("x", float)
+        if not math.isfinite(x):
+            raise PreconditionError(f"x must be finite, got {x}")
+        return x
 
     @property
     def H(self) -> int:
@@ -130,7 +134,10 @@ class RunConfig:
 
     @property
     def tol(self) -> float:
-        return self._view("tol", float)
+        tol = self._view("tol", float)
+        if not 0.0 <= tol < math.inf:
+            raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
+        return tol
 
     @property
     def allow_outside(self) -> bool:

@@ -431,12 +431,6 @@ def condition_margin(c, gamma):
     return 9 - 19 * (c - 1) - 171 * (1 - gamma)
 
 
-def in_region(c, gamma):
-    c, gamma = _rat(c, "c"), _rat(gamma, "gamma")
-    return (C_LO < c < C_HI and 0 < gamma < 1
-            and condition_margin(c, gamma) > 0)
-
-
 def dominates(t1, t2):
     """t1 >= t2 as bounds for H >= 1, x >= 1, on the whole region.
 

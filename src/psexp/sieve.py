@@ -1,14 +1,21 @@
-"""One segmented sieve and the Piatetski-Shapiro membership test.
+"""One progression sieve and the Piatetski-Shapiro membership test.
 
-Every sieve goes through one crossing-off routine, _cross_off, which marks
-the primes of a half-open range (lo, hi] by striking the multiples of the
-base primes up to sqrt(hi) (a segmented sieve of Eratosthenes, as in Bays
-and Hudson, BIT 17, 1977).  primes_in_ap walks (0, x] in DEFAULT_SEGMENT
-slices and keeps the primes = a (mod d) of each, so no byte array longer
-than one slice is held; primes_up_to is its d = 1 case, and calls itself
-only for the base primes up to sqrt(n).  sieve_range gives a PrimeTable of
-primality and von Mangoldt Lambda over one window (lo, hi].  primes_in_ap
-raises ScaleError past SIEVE_CAP = 2^32 before allocating.
+Every sieve goes through one kernel, _cross_off, the progression sieve of
+Bays and Hudson (BIT 17, 1977).  The primes p = a (mod d) other than 2 lie
+in one class r (mod m), m = lcm(2, d), with r = a (mod d) odd and prime to
+m; the kernel marks the primes among n = r + m k over one segment of at
+most DEFAULT_SEGMENT values of k.  Each base prime p up to sqrt(hi) that
+does not divide m strikes one numpy slice per segment: the k = -r m^-1
+(mod p), from the first with n >= p^2.  iter_primes_in_ap yields the
+primes of a window (lo, hi] one segment at a time (2 first, when it lies
+in the class), so its memory budget is one segment of bytes (4 MiB), the
+int64 primes of that segment, and the base primes with their roots
+-r m^-1 (mod p) and one start index each.  primes_in_ap concatenates those
+blocks over (0, x], and primes_up_to is its d = 1 case, an odd-only sieve.
+prime_powers_in_ap gives the class prime powers p^k, k >= 2, from the base
+primes, and sieve_range builds its table of primality and von Mangoldt
+Lambda over (lo, hi] from both.  Every sieve raises ScaleError past
+SIEVE_CAP = 2^32 before allocating.
 
 Membership in the Piatetski-Shapiro sequence for exponent gamma is the
 indicator [-n^gamma] - [-(n+1)^gamma], i.e. whether [y1, y2) with
@@ -37,49 +44,96 @@ SIEVE_CAP = 1 << 32         # the primes up to the cap fill 1.6 GB as int64
 _NEAR_INT = 1e-9
 
 
-def _cross_off(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """is_prime over (lo, hi]: index i holds n = lo + 1 + i.
+def _cross_off(lo: int, hi: int, m: int, r: int, base: np.ndarray,
+               first: np.ndarray) -> np.ndarray:
+    """The primes among n = r + m k, k in [lo, hi), as ascending int64.
 
-    base must hold every prime up to sqrt(hi), in ascending order.  Each
-    strikes its multiples from max(p^2, first multiple > lo) on, so a base
-    prime inside the range keeps its mark.
+    base holds the primes up to sqrt(r + m (hi - 1)) that do not divide m,
+    ascending, and first[i] the least k whose n is a multiple of base[i] and
+    at least base[i]^2.  Each strikes every base[i]-th k from there on, so a
+    base prime inside the range keeps its mark.  Exact: integer arithmetic
+    only, in int64 for n <= SIEVE_CAP.
     """
-    n0 = lo + 1
     is_p = np.ones(hi - lo, dtype=bool)
-    if n0 == 1:
-        is_p[0] = False
-    for p in base.tolist():
-        if p * p > hi:
-            break
-        start = max(p * p, -(-n0 // p) * p)
-        is_p[start - n0:: p] = False
-    return is_p
+    if lo == 0 and r == 1:
+        is_p[0] = False                     # n = 1
+    live = np.searchsorted(base, math.isqrt(r + m * (hi - 1)), side="right")
+    p, k = base[:live], first[:live]
+    start = np.maximum(k, lo + (k - lo) % p) - lo
+    for step, s in zip(p.tolist(), start.tolist()):
+        is_p[s::step] = False
+    ns = np.flatnonzero(is_p)
+    ns += lo
+    ns *= m
+    ns += r                                 # n = r + m k, in place
+    return ns
+
+
+def _class_blocks(lo: int, hi: int, d: int, a: int):
+    m = d if d % 2 == 0 else 2 * d          # lcm(2, d)
+    r = a % d if (a % d) % 2 else a % d + d  # odd, = a (mod d): the class mod m
+    if lo < 2 <= hi and (2 - a) % d == 0:
+        yield np.array([2], dtype=np.int64)
+    base = primes_up_to(math.isqrt(hi))
+    base = base[m % base != 0]
+    roots = np.array([-r * pow(m, -1, p) % p for p in base.tolist()], dtype=np.int64)
+    k_sq = -(-(base * base - r) // m)       # the first k with n >= p^2
+    first = k_sq + (roots - k_sq) % base    # and the first from there with p | n
+    k_lo, k_hi = max(0, -(-(lo + 1 - r) // m)), (hi - r) // m + 1
+    for s in range(k_lo, k_hi, DEFAULT_SEGMENT):
+        yield _cross_off(s, min(s + DEFAULT_SEGMENT, k_hi), m, r, base, first)
+
+
+def iter_primes_in_ap(lo: int, hi: int, d: int, a: int):
+    """Ascending int64 blocks of the primes p in (lo, hi] with p = a (mod d).
+
+    gcd(a, d) = 1 required.  One block per kernel segment (the prime 2, when
+    it lies in the class, comes first as a block of its own).  The arguments
+    and SIEVE_CAP are checked here, before the first block is asked for and
+    before anything is allocated.
+    """
+    if d < 1 or math.gcd(a, d) != 1:
+        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
+    if lo < 0:
+        raise PreconditionError(f"need lo >= 0, got {lo}")
+    if hi > SIEVE_CAP:
+        raise ScaleError(f"scale: sieve bound {hi} exceeds the cap 2^32 = {SIEVE_CAP}")
+    return _class_blocks(lo, hi, d, a) if hi > max(lo, 1) else iter(())
+
+
+def _concat(blocks) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
 
 
 def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
     """Primes p <= x with p = a (mod d), as int64; gcd(a, d) = 1 required.
 
-    Sieved in DEFAULT_SEGMENT slices of (0, x].  Raises ScaleError, before
-    allocating anything, once x exceeds SIEVE_CAP.
+    The blocks of iter_primes_in_ap over (0, x], concatenated.  Raises
+    ScaleError, before allocating anything, once x exceeds SIEVE_CAP.
     """
-    if d < 1 or math.gcd(a, d) != 1:
-        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
-    n = int(math.floor(x))
-    if n > SIEVE_CAP:
-        raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    base = primes_up_to(math.isqrt(n))
-    out = []
-    for lo in range(0, n, DEFAULT_SEGMENT):
-        ps = lo + 1 + np.flatnonzero(_cross_off(lo, min(lo + DEFAULT_SEGMENT, n), base))
-        out.append(ps[ps % d == a % d] if d > 1 else ps)
-    return np.concatenate(out)
+    return _concat(iter_primes_in_ap(0, int(math.floor(x)), d, a))
 
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as int64: primes_in_ap(n, 1, 0)."""
     return primes_in_ap(n, 1, 0)
+
+
+def prime_powers_in_ap(lo: int, hi: int, d: int, a: int):
+    """(q, Lambda(q)) for the prime powers q = p^k, k >= 2, in (lo, hi] with
+    q = a (mod d), ascending; Lambda(q) = math.log(p)."""
+    p = primes_up_to(math.isqrt(hi))
+    q = p * p
+    qs, ps = [], []
+    while p.size:
+        sel = (q > lo) & (q % d == a % d)
+        qs.append(q[sel])
+        ps.append(p[sel])
+        keep = q <= hi // p                 # so that q p <= hi cannot overflow
+        p, q = p[keep], q[keep] * p[keep]
+    q, p = _concat(qs), _concat(ps)
+    order = np.argsort(q)
+    return q[order], np.array([math.log(v) for v in p[order].tolist()], dtype=np.float64)
 
 
 @dataclass
@@ -98,24 +152,20 @@ class PrimeTable:
 def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Sieve the half-open range (lo, hi].
 
-    Cost is O((hi - lo) log log hi); the range is materialized in full, so
-    callers wanting bounded memory should go through iter_segments.
+    The primes come from iter_primes_in_ap with Lambda = np.log(p), the
+    prime powers from prime_powers_in_ap.  The range is materialized in
+    full, so callers wanting bounded memory should go through iter_segments.
     """
     if not (0 <= lo < hi):
         raise PreconditionError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    if hi > (1 << 52):
-        raise PreconditionError(f"hi = {hi} too large for exact float indexing")
-    base = primes_up_to(math.isqrt(hi))
-    is_p = _cross_off(lo, hi, base)
     n0 = lo + 1
-    n = np.arange(n0, hi + 1, dtype=np.int64)
-    lam = np.where(is_p, np.log(n.astype(np.float64)), 0.0)
-    for p in base.tolist():
-        pk = p * p
-        while pk <= hi:
-            if pk > lo:
-                lam[pk - n0] = math.log(p)
-            pk *= p
+    ps = _concat(iter_primes_in_ap(lo, hi, 1, 0))
+    qs, weights = prime_powers_in_ap(lo, hi, 1, 0)
+    is_p = np.zeros(hi - lo, dtype=bool)
+    is_p[ps - n0] = True
+    lam = np.zeros(hi - lo)
+    lam[ps - n0] = np.log(ps.astype(np.float64))
+    lam[qs - n0] = weights
     return PrimeTable(lo, hi, is_p, lam)
 
 

@@ -12,6 +12,11 @@ side it is given, the decomposition side (pi_gamma, Gamma_1, Gamma_2) and
 the main-term side, and it reports every side at every x, bitwise as a walk
 to that x alone would.  theorem_trend sieves once and walks once with both
 sides; gamma_decomposition and rhs_main each walk to one x with their own.
+The walk streams the blocks of the progression sieve
+(sieve.iter_primes_in_ap), re-cut to exact BLOCK slices with one prime of
+lookahead (_slices), so it holds at most one sieve segment and one slice,
+and no digit depends on the segment size; pi_sum and gamma3_sum stream the
+same slices.
 
 The decomposition side takes every per-prime value of the bracket identity
 
@@ -26,7 +31,10 @@ loop (_psi_sum) whose psi-weights come from the same kernel.
 
 The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case),
 Gamma_11 (gamma11_sum) and heathbrown.type_sums share one h-loop,
-weighted_h_sums.  Gamma_10 and Gamma_11 sieve their Lambda-window once.
+weighted_h_sums.  Gamma_10 and Gamma_11 sieve their Lambda-window once:
+_lambda_window (also behind Gamma_4 and Gamma_5) takes the class primes of
+one progression-sieve pass and the class prime powers, cut at the
+DEFAULT_SEGMENT edges of the integers.
 Per block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with
 anchors sized for the largest |h| = H and the base phase {t n^c} + k n / d
 (twisted_phase) are formed once; each h then costs {h n^gamma} =
@@ -110,9 +118,27 @@ class SumReport:
         return abs(self.value) <= self.weight_bound + self.phase_error_bound + 1e-9
 
 
-def _blocks(arr: np.ndarray):
-    for i in range(0, arr.size, BLOCK):
-        yield arr[i:i + BLOCK]
+def _class_primes(x: float, params: Parameters):
+    """Ascending blocks of the primes p <= x, p = a (mod d), one sieve segment each."""
+    return sieve.iter_primes_in_ap(0, int(math.floor(x)), params.d, params.a)
+
+
+def _slices(blocks):
+    """(blk, nxt) over the ascending prime blocks, re-cut to exact BLOCK slices.
+
+    nxt[i] is the prime after blk[i]; one prime of lookahead is held, so the
+    last one is missing only at the very end.  At most one sieve block and
+    one slice are held at a time.
+    """
+    buf = np.zeros(0, dtype=np.int64)
+    for b in blocks:
+        buf = np.concatenate([buf, b]) if buf.size else b
+        del b                               # hold the block once, not twice
+        while buf.size > BLOCK:
+            yield buf[:BLOCK], buf[1:BLOCK + 1]
+            buf = buf[BLOCK:]
+    if buf.size:
+        yield buf, buf[1:]
 
 
 def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> float:
@@ -126,19 +152,20 @@ def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> flo
 
 def pi_sum(params: Parameters) -> SumReport:
     """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
-    ps = sieve.primes_in_ap(params.x, params.d, params.a)
     acc = ComplexAccumulator()
-    for blk in _blocks(ps):
+    for blk, _ in _slices(_class_primes(params.x, params)):
         acc.add_array(e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float)))
-    return SumReport(acc.value, int(ps.size), _phase_bound(ps.size, 1, ps.size))
+    return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
 
 
-def _checkpointed(params: Parameters, ps: np.ndarray, xs, sides) -> list:
-    """For each side, one report per x of the ascending xs, from one walk over ps.
+def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
+    """For each side, one report per x of the ascending xs, from one walk.
 
-    ps holds the primes p <= max(xs), p = a (mod d), in ascending order.
-    They are walked in BLOCK slices, and each slice's z = e(t p^c) is formed
-    once and handed to every side.  A side is a namespace of terms, fold,
+    blocks streams the primes p <= max(xs), p = a (mod d), in ascending
+    int64 blocks (_class_primes).  They are walked in exact BLOCK slices
+    (_slices), and each slice's z = e(t p^c) is formed once and handed to
+    every side; a slice lies past x when the prime after it is <= x, which
+    only a full slice can tell.  A side is a namespace of terms, fold,
     state and finish.  terms(blk, nxt, z) evaluates one slice per element
     (nxt[i] is the prime after blk[i]; the last one is missing at the very
     end).  fold(state, arrays, k, x) adds the first k elements to the state;
@@ -146,23 +173,26 @@ def _checkpointed(params: Parameters, ps: np.ndarray, xs, sides) -> list:
     last prime <= x.  Each checkpoint folds its slice into a copy of every
     state, so its report is bitwise the one a walk to that x alone gives.
     """
-    def slice_terms(s):
-        blk, nxt = ps[s:s + BLOCK], ps[s + 1:s + 1 + BLOCK]
+    def slice_terms(blk, nxt):
         z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
         return [side.terms(blk, nxt, z) for side in sides]
 
+    empty = np.zeros(0, dtype=np.int64)
+    slices = _slices(blocks)
+    blk, nxt = next(slices, (empty, empty))
     reports = [[] for _ in sides]
-    done, arrays = 0, None                  # done: primes folded into the states
-    for x, end in zip(xs, np.searchsorted(ps, xs, side="right")):
-        while end > done + BLOCK:           # x lies past this slice
-            for side, arr in zip(sides, arrays or slice_terms(done)):
+    arrays = None
+    for x in xs:
+        while nxt.size == BLOCK and nxt[-1] <= x:    # x lies past this slice
+            for side, arr in zip(sides, arrays or slice_terms(blk, nxt)):
                 side.fold(side.state, arr, BLOCK, None)
-            done, arrays = done + BLOCK, None
+            (blk, nxt), arrays = next(slices, (empty, empty)), None
         snaps = copy.deepcopy([side.state for side in sides])
-        if end > done:
-            arrays = arrays or slice_terms(done)
+        end = int(np.searchsorted(blk, x, side="right"))
+        if end:
+            arrays = arrays or slice_terms(blk, nxt)
             for side, snap, arr in zip(sides, snaps, arrays):
-                side.fold(snap, arr, int(end) - done, x)
+                side.fold(snap, arr, end, x)
         for side, snap, out in zip(sides, snaps, reports):
             out.append(side.finish(snap, x))
     return reports
@@ -237,8 +267,8 @@ def _decomposition_side(params: Parameters) -> SimpleNamespace:
 
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
-    ps = sieve.primes_in_ap(params.x, params.d, params.a)
-    return _checkpointed(params, ps, [params.x], [_decomposition_side(params)])[0][0]
+    return _checkpointed(params, _class_primes(params.x, params), [params.x],
+                         [_decomposition_side(params)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +345,8 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
 
 def rhs_main(params: Parameters) -> MainTermPair:
     """The main term at params.x (one checkpoint), by quadrature and closed form."""
-    ps = sieve.primes_in_ap(params.x, params.d, params.a)
-    return _checkpointed(params, ps, [params.x], [_main_term_side(params)])[0][0]
+    return _checkpointed(params, _class_primes(params.x, params), [params.x],
+                         [_main_term_side(params)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +452,9 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
         if not math.isfinite(x):
             raise PreconditionError(f"schedule x must be finite, got {x}")
     grid = sorted(set(xs))
-    ps = sieve.primes_in_ap(max(grid, default=0.0), params.d, params.a)
+    blocks = _class_primes(max(grid, default=0.0), params)
     sides = [_decomposition_side(params), _main_term_side(params)]
-    at = dict(zip(grid, zip(*_checkpointed(params, ps, grid, sides))))
+    at = dict(zip(grid, zip(*_checkpointed(params, blocks, grid, sides))))
     expo = float(params.claimed_exponent())
     rows = []
     for x in xs:
@@ -453,21 +483,34 @@ def _psi_sum(blocks, params: Parameters) -> complex:
 
 def gamma3_sum(x: float, params: Parameters) -> complex:
     """log-weighted psi-difference sum over primes <= x in the progression."""
-    ps = sieve.primes_in_ap(x, params.d, params.a)
-    return _psi_sum(((blk, np.log(blk.astype(np.float64))) for blk in _blocks(ps)),
-                    params)
+    return _psi_sum(((blk, np.log(blk.astype(np.float64)))
+                     for blk, _ in _slices(_class_primes(x, params))), params)
 
 
 def _lambda_window(lo: int, hi: int, d: int, a: int):
-    """(n, Lambda(n)) blocks over (lo, hi], n = a (mod d), Lambda(n) != 0."""
-    for tab in sieve.iter_segments(lo, hi):
-        n = tab.n_values()
-        lam = tab.lam
-        if d > 1:
-            sel = n % d == a % d
-            n, lam = n[sel], lam[sel]
-        nz = lam != 0.0
-        yield n[nz], lam[nz]
+    """(n, Lambda(n)) blocks over (lo, hi], n = a (mod d), Lambda(n) != 0.
+
+    One block per DEFAULT_SEGMENT slice of the integers of (lo, hi], from one
+    pass of the progression sieve: the class primes with weight np.log(p),
+    and the class prime powers p^k, k >= 2, merged in with weight
+    math.log(p), so every weight is bitwise that of the sieve_range table.
+    """
+    qs, q_lam = sieve.prime_powers_in_ap(lo, hi, d, a)
+    blocks = sieve.iter_primes_in_ap(lo, hi, d, a)
+    ps = np.zeros(0, dtype=np.int64)        # sieved primes not yet handed out
+    for edge in range(lo, hi, sieve.DEFAULT_SEGMENT):
+        top = min(edge + sieve.DEFAULT_SEGMENT, hi)
+        while ps.size == 0 or ps[-1] <= top:
+            blk = next(blocks, None)
+            if blk is None:
+                break
+            ps = np.concatenate([ps, blk]) if ps.size else blk
+        k = int(np.searchsorted(ps, top, side="right"))
+        i, j = np.searchsorted(qs, [edge, top], side="right")
+        at = np.searchsorted(ps[:k], qs[i:j])
+        yield (np.insert(ps[:k], at, qs[i:j]),
+               np.insert(np.log(ps[:k].astype(np.float64)), at, q_lam[i:j]))
+        ps = ps[k:]
 
 
 def gamma4_sum(x: float, params: Parameters) -> complex:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psexp import cli, sieve, sums
+from psexp import cli, sieve, sums, vaaler
 from psexp.cli import RunConfig
 from psexp.errors import PreconditionError
 from psexp.numerics import Parameters
@@ -135,7 +135,8 @@ def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
     ("theorem", "x-schedule", "abc"), ("theorem", "x-schedule", "1e5:"),
     ("theorem", "c", "abc"), ("theorem", "c", "1/0"), ("theorem", "d", "1.5"),
     ("vaaler", "H", "1e3"), ("vaaler", "seed", "x"), ("vaaler", "seed", "-1"),
-    ("region", "grid-step", "x")])
+    ("region", "grid-step", "x"), ("hb", "x", "inf"), ("hb", "x", "nan"),
+    ("vaaler", "tol", "nan"), ("vaaler", "tol", "-1")])
 def test_malformed_value_exits_2(tmp_path, capsys, command, key, value):
     # the same conversion serves a flag and a config-file line
     cfgfile = tmp_path / "run.cfg"
@@ -262,10 +263,12 @@ def test_vaaler_coefficient_dump(tmp_path):
     assert float(first[3]) == 1.0 / 51.0
 
 
-def test_invariant_failure_exits_3(tmp_path, capsys):
-    # a negative tolerance no finite grid can meet
+def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a coefficient cap no Vaaler coefficient can meet (a negative --tol is a
+    # malformed flag, which exits 2)
+    monkeypatch.setattr(vaaler, "A_CAP", 0.0)
     out = tmp_path / "coeffs.csv"
-    code = run(["vaaler", "--H", "10", "--tol", "-1", "--out", str(out)])
+    code = run(["vaaler", "--H", "10", "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("invariant failure:")
 

@@ -111,29 +111,69 @@ def _reference_primes(n):
     return [k for k in range(n + 1) if mark[k]]
 
 
+_CLASSES = ((1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 2), (10, 7),
+            (12, 5), (30, 1))          # 2 lies in (1, 0), (3, 2), (5, 2), (7, 2)
+
+
+def _class_edges(d, a, segment):
+    """n on and next to the kernel's segment edges for the class a (mod d).
+
+    The kernel sieves n = r + m k, m = lcm(2, d), r the odd residue mod m
+    that is = a (mod d), in segments of `segment` values of k.
+    """
+    m = d if d % 2 == 0 else 2 * d
+    r = next(v for v in range(1, m + 1, 2) if (v - a) % d == 0)
+    return sorted({r + m * k * segment + j for k in (1, 2, 3) for j in (-1, 0, 1, m)})
+
+
 @pytest.mark.parametrize("segment", [2, 977])
 def test_slices_match_a_plain_sieve_at_slice_edges(monkeypatch, segment):
-    # n on and next to slice edges; n = 3 * 977 + 5 ends in a slice of 5,
-    # shorter than its largest base prime 53, as every n >= 9 does at 2
+    # n on and next to segment edges, in integers and in each class's k; at
+    # segment 2 every n >= 9 ends in a segment shorter than its largest base
+    # prime, and windows (lo, hi] start and end on and next to those edges
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
     sizes = []
     cross_off = sieve._cross_off
 
-    def recording(lo, hi, base):
+    def recording(lo, hi, *args):
         sizes.append(hi - lo)
-        return cross_off(lo, hi, base)
+        return cross_off(lo, hi, *args)
 
     monkeypatch.setattr(sieve, "_cross_off", recording)
     ns = sorted({k * segment + j for k in (1, 2, 3, 150) for j in (-1, 0, 1, 5)})
-    ref = np.array(_reference_primes(max(ns)), dtype=np.int64)
+    edges = {(d, a): _class_edges(d, a, segment) for d, a in _CLASSES}
+    ref = np.array(_reference_primes(max(ns + sum(edges.values(), []))), dtype=np.int64)
     for n in ns:
-        want = ref[ref <= n]
-        assert sieve.primes_up_to(n).tolist() == want.tolist(), n
-        for d, a in ((1, 0), (3, 1), (3, 2), (4, 3), (10, 7), (30, 1)):
+        assert sieve.primes_up_to(n).tolist() == ref[ref <= n].tolist(), n
+    for (d, a), cuts in edges.items():
+        cls = ref[ref % d == a % d]
+        for n in ns + cuts:
             got = sieve.primes_in_ap(n + 0.5, d, a)
             assert got.dtype == np.int64
-            assert got.tolist() == want[want % d == a % d].tolist(), (n, d, a)
+            assert got.tolist() == cls[cls <= n].tolist(), (n, d, a)
+        for lo in [0, 1, 2, 3] + cuts[::3]:
+            for hi in cuts[1::2]:
+                blocks = list(sieve.iter_primes_in_ap(lo, hi, d, a))
+                got = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+                assert all(b.dtype == np.int64 for b in blocks)
+                assert np.all(np.diff(got) > 0), (lo, hi, d, a)   # ascending, disjoint
+                want = cls[(cls > lo) & (cls <= hi)]
+                assert got.tolist() == want.tolist(), (lo, hi, d, a)
     assert max(sizes) == segment
+
+
+def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sieve allocated")
+
+    monkeypatch.setattr(sieve.np, "ones", no_allocation)
+    with pytest.raises(ScaleError):
+        sieve.iter_primes_in_ap(0, sieve.SIEVE_CAP + 1, 3, 1)
+    with pytest.raises(PreconditionError):
+        sieve.iter_primes_in_ap(0, 100, 6, 3)
+    with pytest.raises(PreconditionError):
+        sieve.iter_primes_in_ap(-1, 100, 3, 1)
+    assert list(sieve.iter_primes_in_ap(50, 50, 3, 1)) == []
 
 
 # ---------------------------------------------------------------------------

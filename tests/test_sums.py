@@ -137,7 +137,7 @@ def test_pass_membership_matches_is_ps_prime(gamma):
     # decomposition side's own indicator, prime by prime
     ps = sieve.primes_in_ap(2e4, 1, 0)
     p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
-    (reps,) = sums._checkpointed(p, ps, ps.astype(float), [sums._decomposition_side(p)])
+    (reps,) = sums._checkpointed(p, [ps], ps.astype(float), [sums._decomposition_side(p)])
     kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
     assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
     assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
@@ -272,19 +272,79 @@ def test_trend_rows_are_bitwise_one_point_runs(monkeypatch, seed):
 
 
 def test_trend_sieves_once(monkeypatch):
-    # one pass over (0, max(xs)]; the base primes up to sqrt(1e5) = 316.2
-    # are sieved on the way and do not count as a second sieve
+    # one pass of the progression sieve over the class 1 (mod 6) up to 1e5,
+    # k = 0 .. 16666 (n = 1 + 6 k <= 99997), in consecutive segments; the
+    # base primes up to sqrt(1e5) come from the odd class 1 (mod 2) and do
+    # not count as a second sieve
     calls = []
     cross_off = sieve._cross_off
 
-    def counting(lo, hi, base):
-        calls.append((lo, hi))
-        return cross_off(lo, hi, base)
+    def counting(lo, hi, m, r, *args):
+        calls.append((m, r, lo, hi))
+        return cross_off(lo, hi, m, r, *args)
 
     monkeypatch.setattr(sieve, "_cross_off", counting)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 5000)
     p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
-    assert [c for c in calls if c[1] > 316] == [(0, 100_000)]
+    assert [c for c in calls if c[:2] != (2, 1)] == [
+        (6, 1, 0, 5000), (6, 1, 5000, 10000), (6, 1, 10000, 15000), (6, 1, 15000, 16667)]
+    assert all(1 + 2 * (hi - 1) <= 316 for m, r, lo, hi in calls if (m, r) == (2, 1))
+
+
+def test_slices_recut_blocks_exactly(monkeypatch):
+    # sieve blocks of every awkward length: empty, shorter than a slice,
+    # exactly one slice, and ending so that exactly one slice is left over
+    monkeypatch.setattr(sums, "BLOCK", 4)
+    ps = np.arange(100, 130, dtype=np.int64)
+    cuts = np.cumsum([0, 3, 4, 0, 1, 9, 4, 1, 4, 4])
+    got = list(sums._slices(ps[a:b] for a, b in zip(cuts, cuts[1:])))
+    want = [(ps[i:i + 4], ps[i + 1:i + 5]) for i in range(0, ps.size, 4)]
+    assert [(b.tolist(), n.tolist()) for b, n in got] == [
+        (b.tolist(), n.tolist()) for b, n in want]
+    assert list(sums._slices(iter([ps[:0]]))) == []
+
+
+def test_trend_rows_straddle_segment_edges(monkeypatch):
+    # 16-prime slices re-cut from sieve segments of 50 k (300 integers at
+    # d = 3): checkpoints sit on, just before and just after both kinds of
+    # edge, and every row is bitwise the row of the unpatched sieve and of a
+    # one-point run
+    monkeypatch.setattr(sums, "BLOCK", 16)
+    p = Parameters(x=2000.0, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    ps = sieve.primes_in_ap(2000.0, 3, 1)
+    cuts = np.searchsorted(ps, [1 + 6 * 50 * k for k in (1, 2, 3, 4, 5, 6)])
+    xs = sorted({float(ps[i + j]) + h for i in cuts for j in (-1, 0, 1) for h in (0.0, 0.5)}
+                | {float(ps[k]) for k in (15, 16, 31, 32)} | {2000.0})
+    want = [_row_values(r.decomposition, r.main_term)
+            for r in sums.theorem_trend(p, xs).rows]
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 50)
+    rows = sums.theorem_trend(p, xs[::-1]).rows[::-1]
+    assert [_row_values(r.decomposition, r.main_term) for r in rows] == want
+    for x, w in zip(xs, want):
+        one = sums.theorem_trend(p, [x]).rows[0]
+        assert _row_values(one.decomposition, one.main_term) == w
+
+
+@pytest.mark.parametrize("segment", [977, sieve.DEFAULT_SEGMENT])
+def test_lambda_window_is_the_class_of_the_table(monkeypatch, segment):
+    # block by block and bitwise: the Lambda-window of the progression sieve
+    # against the sieve_range table of the whole window, kept to n = a (mod d)
+    # and Lambda(n) != 0 and cut at the DEFAULT_SEGMENT edges
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    # 1024 = 2^10 and 2187 = 3^7 open windows, 4096 = 2^12 and 3125 = 5^5 close them
+    for lo, hi in ((0, 5000), (2500, 5000), (1023, 4097), (1024, 4096), (2187, 3125)):
+        table = sieve.sieve_range(lo, hi)
+        ns = table.n_values()
+        for d, a in ((1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (10, 7)):
+            got = list(sums._lambda_window(lo, hi, d, a))
+            edges = list(range(lo, hi, segment))
+            assert len(got) == len(edges)
+            for (n, lam), e in zip(got, edges):
+                keep = ((ns > e) & (ns <= e + segment) & (ns % d == a % d)
+                        & (table.lam != 0.0))
+                assert n.tolist() == ns[keep].tolist(), (lo, hi, d, a, e)
+                assert lam.tobytes() == table.lam[keep].tobytes(), (lo, hi, d, a, e)
 
 
 def test_trend_phases_once(monkeypatch):
@@ -465,26 +525,31 @@ def test_gamma10_is_the_sum_of_moduli():
 
 
 def count_sieves(monkeypatch):
+    """(m, r, first n, last n) of each progression-sieve segment past n = 100;
+    the base primes below sqrt(6000) = 77.5 are sieved on the way."""
     calls = []
-    sieve_range = sieve.sieve_range
+    cross_off = sieve._cross_off
 
-    def counting(lo, hi, *args, **kwargs):
-        calls.append((lo, hi))
-        return sieve_range(lo, hi, *args, **kwargs)
+    def counting(lo, hi, m, r, *args):
+        if r + m * (hi - 1) > 100:
+            calls.append((m, r, r + m * lo, r + m * (hi - 1)))
+        return cross_off(lo, hi, m, r, *args)
 
-    monkeypatch.setattr(sieve, "sieve_range", counting)
+    monkeypatch.setattr(sieve, "_cross_off", counting)
     return calls
 
 
 @pytest.mark.parametrize("H", [1, 4, 9])
 def test_h_sums_sieve_their_window_once(monkeypatch, H):
+    # one kernel pass per window: the class 1 (mod 6) over (3000, 6000] for
+    # Gamma_11, the odd n over (3000, 5000] for Gamma_10
     p = Parameters(x=6000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
     calls = count_sieves(monkeypatch)
     sums.gamma11_sum(p.x, H, p)
-    assert calls == [(3000, 6000)]
+    assert calls == [(6, 1, 3001, 5995)]
     calls.clear()
     sums.gamma10_sum(5000.0, np.int64(H), p, 2)
-    assert calls == [(3000, 5000)]
+    assert calls == [(2, 1, 3001, 4999)]
 
 
 def test_zero_height_returns_before_sieving(monkeypatch):
