@@ -12,10 +12,12 @@ in the class), so its memory budget is one segment of bytes (4 MiB), the
 int64 primes of that segment, and the base primes with their roots
 -r m^-1 (mod p) and one start index each.  primes_in_ap concatenates those
 blocks over (0, x], and primes_up_to is its d = 1 case, an odd-only sieve.
-prime_powers_in_ap gives the class prime powers p^k, k >= 2, from the base
+lambda_in_ap adds the class prime powers p^k, k >= 2, from the same base
 primes, and sieve_range builds its table of primality and von Mangoldt
-Lambda over (lo, hi] from both.  Every sieve raises ScaleError past
-SIEVE_CAP = 2^32 before allocating.
+Lambda over (lo, hi] from it.  Every sieve raises ScaleError before
+allocating once hi passes EXACT_CAP = 2^52, where float64 stops holding
+every n exactly; primes_in_ap, which holds all its blocks at once, raises
+it already past SIEVE_CAP = 2^32.
 
 Membership in the Piatetski-Shapiro sequence for exponent gamma is the
 indicator [-n^gamma] - [-(n+1)^gamma], i.e. whether [y1, y2) with
@@ -41,6 +43,7 @@ from .errors import BoundaryError, PreconditionError, ScaleError
 
 DEFAULT_SEGMENT = 1 << 22
 SIEVE_CAP = 1 << 32         # the primes up to the cap fill 1.6 GB as int64
+EXACT_CAP = 1 << 52         # every n, p^2 and p^k of a window exact in float64
 _NEAR_INT = 1e-9
 
 
@@ -52,7 +55,7 @@ def _cross_off(lo: int, hi: int, m: int, r: int, base: np.ndarray,
     ascending, and first[i] the least k whose n is a multiple of base[i] and
     at least base[i]^2.  Each strikes every base[i]-th k from there on, so a
     base prime inside the range keeps its mark.  Exact: integer arithmetic
-    only, in int64 for n <= SIEVE_CAP.
+    only, in int64 for n <= EXACT_CAP.
     """
     is_p = np.ones(hi - lo, dtype=bool)
     if lo == 0 and r == 1:
@@ -69,12 +72,11 @@ def _cross_off(lo: int, hi: int, m: int, r: int, base: np.ndarray,
     return ns
 
 
-def _class_blocks(lo: int, hi: int, d: int, a: int):
+def _class_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
     m = d if d % 2 == 0 else 2 * d          # lcm(2, d)
     r = a % d if (a % d) % 2 else a % d + d  # odd, = a (mod d): the class mod m
     if lo < 2 <= hi and (2 - a) % d == 0:
         yield np.array([2], dtype=np.int64)
-    base = primes_up_to(math.isqrt(hi))
     base = base[m % base != 0]
     roots = np.array([-r * pow(m, -1, p) % p for p in base.tolist()], dtype=np.int64)
     k_sq = -(-(base * base - r) // m)       # the first k with n >= p^2
@@ -84,46 +86,39 @@ def _class_blocks(lo: int, hi: int, d: int, a: int):
         yield _cross_off(s, min(s + DEFAULT_SEGMENT, k_hi), m, r, base, first)
 
 
+def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray:
+    """The arguments checked, then the primes up to sqrt(hi) (None if the
+    window (lo, hi] holds no n >= 2)."""
+    if d < 1 or math.gcd(a, d) != 1:
+        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
+    if lo < 0:
+        raise PreconditionError(f"need lo >= 0, got {lo}")
+    if hi > EXACT_CAP:
+        raise ScaleError(f"scale: sieve bound {hi} exceeds the cap 2^52 = {EXACT_CAP}")
+    return primes_up_to(math.isqrt(hi)) if hi > max(lo, 1) else None
+
+
 def iter_primes_in_ap(lo: int, hi: int, d: int, a: int):
     """Ascending int64 blocks of the primes p in (lo, hi] with p = a (mod d).
 
     gcd(a, d) = 1 required.  One block per kernel segment (the prime 2, when
     it lies in the class, comes first as a block of its own).  The arguments
-    and SIEVE_CAP are checked here, before the first block is asked for and
-    before anything is allocated.
+    and EXACT_CAP are checked here, before anything is allocated.
     """
-    if d < 1 or math.gcd(a, d) != 1:
-        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
-    if lo < 0:
-        raise PreconditionError(f"need lo >= 0, got {lo}")
-    if hi > SIEVE_CAP:
-        raise ScaleError(f"scale: sieve bound {hi} exceeds the cap 2^32 = {SIEVE_CAP}")
-    return _class_blocks(lo, hi, d, a) if hi > max(lo, 1) else iter(())
+    base = _base_primes(lo, hi, d, a)
+    return iter(()) if base is None else _class_blocks(lo, hi, d, a, base)
 
 
-def _concat(blocks) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+def lambda_in_ap(lo: int, hi: int, d: int, a: int):
+    """(blocks, qs, lam) over (lo, hi], n = a (mod d), from one base sieve.
 
-
-def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
-    """Primes p <= x with p = a (mod d), as int64; gcd(a, d) = 1 required.
-
-    The blocks of iter_primes_in_ap over (0, x], concatenated.  Raises
-    ScaleError, before allocating anything, once x exceeds SIEVE_CAP.
+    blocks are those of iter_primes_in_ap; qs are the prime powers p^k,
+    k >= 2, of the class, ascending, and lam their Lambda = math.log(p).
     """
-    return _concat(iter_primes_in_ap(0, int(math.floor(x)), d, a))
-
-
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as int64: primes_in_ap(n, 1, 0)."""
-    return primes_in_ap(n, 1, 0)
-
-
-def prime_powers_in_ap(lo: int, hi: int, d: int, a: int):
-    """(q, Lambda(q)) for the prime powers q = p^k, k >= 2, in (lo, hi] with
-    q = a (mod d), ascending; Lambda(q) = math.log(p)."""
-    p = primes_up_to(math.isqrt(hi))
-    q = p * p
+    base = _base_primes(lo, hi, d, a)
+    if base is None:
+        return iter(()), np.zeros(0, dtype=np.int64), np.zeros(0)
+    p, q = base, base * base
     qs, ps = [], []
     while p.size:
         sel = (q > lo) & (q % d == a % d)
@@ -133,7 +128,30 @@ def prime_powers_in_ap(lo: int, hi: int, d: int, a: int):
         p, q = p[keep], q[keep] * p[keep]
     q, p = _concat(qs), _concat(ps)
     order = np.argsort(q)
-    return q[order], np.array([math.log(v) for v in p[order].tolist()], dtype=np.float64)
+    lam = np.array([math.log(v) for v in p[order].tolist()], dtype=np.float64)
+    return _class_blocks(lo, hi, d, a, base), q[order], lam
+
+
+def _concat(blocks) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+
+
+def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
+    """Primes p <= x with p = a (mod d), as int64; gcd(a, d) = 1 required.
+
+    The blocks of iter_primes_in_ap over (0, x], concatenated: the one
+    sieve that holds every block, so the one that raises ScaleError, before
+    allocating anything, once x exceeds SIEVE_CAP.
+    """
+    n = int(math.floor(x))
+    if n > SIEVE_CAP:
+        raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")
+    return _concat(iter_primes_in_ap(0, n, d, a))
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n as int64: primes_in_ap(n, 1, 0)."""
+    return primes_in_ap(n, 1, 0)
 
 
 @dataclass
@@ -152,15 +170,15 @@ class PrimeTable:
 def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Sieve the half-open range (lo, hi].
 
-    The primes come from iter_primes_in_ap with Lambda = np.log(p), the
-    prime powers from prime_powers_in_ap.  The range is materialized in
-    full, so callers wanting bounded memory should go through iter_segments.
+    The primes and prime powers come from lambda_in_ap, the primes with
+    Lambda = np.log(p).  The range is materialized in full, so callers
+    wanting bounded memory should go through iter_segments.
     """
     if not (0 <= lo < hi):
         raise PreconditionError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     n0 = lo + 1
-    ps = _concat(iter_primes_in_ap(lo, hi, 1, 0))
-    qs, weights = prime_powers_in_ap(lo, hi, 1, 0)
+    blocks, qs, weights = lambda_in_ap(lo, hi, 1, 0)
+    ps = _concat(blocks)
     is_p = np.zeros(hi - lo, dtype=bool)
     is_p[ps - n0] = True
     lam = np.zeros(hi - lo)

@@ -133,7 +133,6 @@ def _slices(blocks):
     buf = np.zeros(0, dtype=np.int64)
     for b in blocks:
         buf = np.concatenate([buf, b]) if buf.size else b
-        del b                               # hold the block once, not twice
         while buf.size > BLOCK:
             yield buf[:BLOCK], buf[1:BLOCK + 1]
             buf = buf[BLOCK:]
@@ -495,8 +494,7 @@ def _lambda_window(lo: int, hi: int, d: int, a: int):
     and the class prime powers p^k, k >= 2, merged in with weight
     math.log(p), so every weight is bitwise that of the sieve_range table.
     """
-    qs, q_lam = sieve.prime_powers_in_ap(lo, hi, d, a)
-    blocks = sieve.iter_primes_in_ap(lo, hi, d, a)
+    blocks, qs, q_lam = sieve.lambda_in_ap(lo, hi, d, a)
     ps = np.zeros(0, dtype=np.int64)        # sieved primes not yet handed out
     for edge in range(lo, hi, sieve.DEFAULT_SEGMENT):
         top = min(edge + sieve.DEFAULT_SEGMENT, hi)

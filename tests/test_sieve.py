@@ -168,12 +168,31 @@ def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):
 
     monkeypatch.setattr(sieve.np, "ones", no_allocation)
     with pytest.raises(ScaleError):
-        sieve.iter_primes_in_ap(0, sieve.SIEVE_CAP + 1, 3, 1)
+        sieve.iter_primes_in_ap(0, sieve.EXACT_CAP + 1, 3, 1)
+    with pytest.raises(ScaleError):
+        sieve.lambda_in_ap(0, sieve.EXACT_CAP + 1, 3, 1)
     with pytest.raises(PreconditionError):
         sieve.iter_primes_in_ap(0, 100, 6, 3)
     with pytest.raises(PreconditionError):
         sieve.iter_primes_in_ap(-1, 100, 3, 1)
     assert list(sieve.iter_primes_in_ap(50, 50, 3, 1)) == []
+
+
+def test_windows_past_the_sieve_cap_run():
+    # only primes_in_ap, which holds every block at once, stops at SIEVE_CAP;
+    # a window across it sieves as one below it does, 2^32 = 2^32 included
+    lo, hi = sieve.SIEVE_CAP - 1000, sieve.SIEVE_CAP + 1000
+    t = sieve.sieve_range(lo, hi)
+    n = t.n_values()
+    composite = np.zeros(n.size, dtype=bool)
+    for p in _reference_primes(math.isqrt(hi)):
+        composite |= n % p == 0
+    assert np.array_equal(t.is_prime, ~composite)
+    assert t.lam[sieve.SIEVE_CAP - lo - 1] == math.log(2)
+    got = np.concatenate(list(sieve.iter_primes_in_ap(lo, hi, 3, 2)))
+    assert got.tolist() == n[t.is_prime & (n % 3 == 2)].tolist()
+    with pytest.raises(ScaleError):
+        sieve.primes_in_ap(hi, 3, 2)
 
 
 # ---------------------------------------------------------------------------

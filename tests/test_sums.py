@@ -525,14 +525,12 @@ def test_gamma10_is_the_sum_of_moduli():
 
 
 def count_sieves(monkeypatch):
-    """(m, r, first n, last n) of each progression-sieve segment past n = 100;
-    the base primes below sqrt(6000) = 77.5 are sieved on the way."""
+    """(m, r, first n, last n) of each progression-sieve segment, in order."""
     calls = []
     cross_off = sieve._cross_off
 
     def counting(lo, hi, m, r, *args):
-        if r + m * (hi - 1) > 100:
-            calls.append((m, r, r + m * lo, r + m * (hi - 1)))
+        calls.append((m, r, r + m * lo, r + m * (hi - 1)))
         return cross_off(lo, hi, m, r, *args)
 
     monkeypatch.setattr(sieve, "_cross_off", counting)
@@ -541,15 +539,16 @@ def count_sieves(monkeypatch):
 
 @pytest.mark.parametrize("H", [1, 4, 9])
 def test_h_sums_sieve_their_window_once(monkeypatch, H):
-    # one kernel pass per window: the class 1 (mod 6) over (3000, 6000] for
-    # Gamma_11, the odd n over (3000, 5000] for Gamma_10
+    # one kernel pass per window, the class 1 (mod 6) over (3000, 6000] for
+    # Gamma_11 and the odd n over (3000, 5000] for Gamma_10, after one sieve
+    # of the base primes up to sqrt(hi) (itself on base primes up to 8 and 2)
     p = Parameters(x=6000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
     calls = count_sieves(monkeypatch)
     sums.gamma11_sum(p.x, H, p)
-    assert calls == [(6, 1, 3001, 5995)]
+    assert calls == [(2, 1, 1, 1), (2, 1, 1, 7), (2, 1, 1, 77), (6, 1, 3001, 5995)]
     calls.clear()
     sums.gamma10_sum(5000.0, np.int64(H), p, 2)
-    assert calls == [(2, 1, 3001, 4999)]
+    assert calls == [(2, 1, 1, 1), (2, 1, 1, 7), (2, 1, 1, 69), (2, 1, 3001, 4999)]
 
 
 def test_zero_height_returns_before_sieving(monkeypatch):

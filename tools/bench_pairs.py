@@ -1,18 +1,16 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--pairs trend=5,decomp20=3,hsum=3] [--seconds 40] \
-        [--scale 1e5:1e8,1e5:1e9] [--claim trend.wall_s] [--note TEXT ...]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
 
 DIR is a psexp checkout (src/ and perfbench/; a git archive is enough).  For
-each workload, pair i runs `perfbench/run.py --workload W --seed 0 --trace 0`
-in the parent first when i is even and in the change first when i is odd;
-each run's metrics and value checksum are kept.  Then, outside the
-benchmark, each side runs `psexp theorem --x-schedule S` once per --scale
-schedule in a fresh interpreter, which reports its seconds and its own
-ru_maxrss.  The series block gives, per metric, both sides' values, their
-medians, the parent's quartiles and the relative change of the median
-against the BENCHMARK.json bound.
+each workload of PAIRS, pair i runs `perfbench/run.py --workload W --seed 0
+--seconds 40 --trace 0` in the parent first when i is even and in the change
+first when i is odd; each run's metrics and value checksum are kept.  Then,
+outside the benchmark, each side runs `psexp theorem --x-schedule S` once
+per schedule of SCALE in a fresh interpreter, which reports its seconds and
+its own ru_maxrss.  The series block gives, per metric, both sides' values,
+their medians, the parent's quartiles and the relative change of the median
+against the BENCHMARK.json bound; CLAIM names the metric claimed to improve.
 """
 
 from __future__ import annotations
@@ -25,6 +23,10 @@ import subprocess
 import sys
 import tempfile
 
+PAIRS = (("trend", 10), ("decomp20", 3), ("hsum", 3))
+SECONDS = 40
+SCALE = ("1e5:1e8", "1e5:1e9")
+CLAIM = "trend.wall_s"
 _SCALE_RUN = """
 import resource, sys, time
 from psexp import cli
@@ -43,10 +45,10 @@ def _env(checkout: str) -> dict:
     return env
 
 
-def bench_run(checkout: str, workload: str, seconds: float) -> dict:
+def bench_run(checkout: str, workload: str) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -90,33 +92,42 @@ def series(runs: dict, bounds: dict) -> dict:
     return out
 
 
+def claim_check(runs: dict, bounds: dict) -> dict:
+    """CLAIM against the rule for a gain: the change better in at least 9 of
+    10 pairs, and its median ahead by more than the parent's quartile spread."""
+    w, name = CLAIM.split(".")
+    par = [r["metrics"][name]["value"] for r in runs["parent"][w]]
+    chg = [r["metrics"][name]["value"] for r in runs["change"][w]]
+    sign = 1.0 if bounds[name][0] == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+    gap = sign * (statistics.median(par) - statistics.median(chg))
+    q = statistics.quantiles(par, n=4)
+    return {"pairs": len(par), "wins": wins, "median_gap": gap,
+            "parent_iqr": q[2] - q[0],
+            "shown": wins >= 0.9 * len(par) and gap > q[2] - q[0]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="trend=5,decomp20=3,hsum=3")
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--scale", default="1e5:1e8,1e5:1e9")
-    ap.add_argument("--claim", default=None, help="workload.metric claimed to improve")
-    ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
-    pairs = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs.split(","))]
-    runs = {side: {w: [] for w, _ in pairs} for side in sides}
+    runs = {side: {w: [] for w, _ in PAIRS} for side in sides}
     i = 0
-    for w, n in pairs:
+    for w, n in PAIRS:
         for _ in range(n):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side][w].append(bench_run(sides[side], w, args.seconds))
+                runs[side][w].append(bench_run(sides[side], w))
                 r = runs[side][w][-1]
                 print(f"pair {i} {w} {side}: wall_s {r['metrics']['wall_s']['value']:.4f} "
                       f"correct {r['correct']} failed {r['failed']}", flush=True)
             i += 1
     scale = {side: [] for side in sides}
-    for sched in filter(None, args.scale.split(",")):
+    for sched in SCALE:
         for side in sides:
             scale[side].append(scale_run(sides[side], sched))
             print(f"scale {sched} {side}: {scale[side][-1]}", flush=True)
@@ -124,27 +135,25 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    host = dict(runs["change"][pairs[0][0]][0]["provenance"])
+    host = dict(runs["change"][PAIRS[0][0]][0]["provenance"])
     for key in ("commit", "src_loc"):
         host.pop(key, None)
     doc = {
         "command": (f"python3 tools/bench_pairs.py --parent <parent checkout> "
-                    f"--change <change checkout> --out {os.path.basename(args.out)} "
-                    f"--pairs {args.pairs} --seconds {args.seconds:g} --scale {args.scale}"
-                    + (f" --claim {args.claim}" if args.claim else "")),
+                    f"--change <change checkout> --out {os.path.basename(args.out)}"),
         "bench_command": "python3 perfbench/run.py --workload <w> --seed 0 "
-                         f"--seconds {args.seconds:g} --trace 0",
+                         f"--seconds {SECONDS} --trace 0",
         "order": "parent and change alternate; pair i runs parent first when i is "
                  "even (pairs counted over all workloads in run order)",
-        "claim": args.claim,
+        "claim": CLAIM,
+        "claim_check": claim_check(runs, bounds),
         "runs": runs,
         "series": series(runs, bounds),
         "checksums": {w: {side: sorted({r["checksum"] for r in runs[side][w]})
-                          for side in sides} for w, _ in pairs},
+                          for side in sides} for w, _ in PAIRS},
         "scale": scale,
         "host": host,
         "src_loc": {side: src_loc(path) for side, path in sides.items()},
-        "notes": args.note,
     }
     doc["checksums_equal"] = all(c["parent"] == c["change"] and len(c["parent"]) == 1
                                  for c in doc["checksums"].values())
