@@ -28,7 +28,7 @@ import tempfile
 
 PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 3))
 SECONDS = 40
-SCALE = ("1e5:1e8", "1e5:1e9")
+SCALE = ("1e5:1e8", "1e5:1e9", "1e5:1e10")
 CLAIM = "trend.wall_s"
 _SCALE_RUN = """
 import resource, sys, time
