@@ -86,7 +86,7 @@ def _class_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
         yield _cross_off(s, min(s + DEFAULT_SEGMENT, k_hi), m, r, base, first)
 
 
-def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray:
+def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
     """The arguments checked, then the primes up to sqrt(hi) (None if the
     window (lo, hi] holds no n >= 2)."""
     if d < 1 or math.gcd(a, d) != 1:

@@ -6,9 +6,8 @@ DIR is a psexp checkout (src/ and perfbench/; a git archive is enough).  For
 each (workload, seed) of PAIRS, pair i runs `perfbench/run.py --workload W
 --seed S --seconds 40 --trace 0` in the parent first when i is even and in
 the change first when i is odd; each run's metrics and value checksum are
-kept under the key "W/seedS".  Seed 1 of the claimed workload is held out:
-it was not run while the change was written, and the claim must hold there
-too.  Then,
+kept under the key "W/seedS".  Seed 1 of the claimed workload is a held-out
+input set, on which the claim must hold too.  Then,
 outside the benchmark, each side runs `psexp theorem --x-schedule S` once
 per schedule of SCALE in a fresh interpreter, which reports its seconds and
 its own ru_maxrss.  The series block gives, per metric, both sides' values,
