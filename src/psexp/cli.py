@@ -269,10 +269,10 @@ def cmd_vdc(cfg: RunConfig) -> int:
 
 
 def cmd_hb(cfg: RunConfig) -> int:
-    limit = min(int(cfg.x), 10_000)
-    worst, worst_n = heathbrown.identity_sweep(limit)
     cf = float(cfg.c)
     rep = heathbrown.uvz_preconditions(cfg.x, cf)
+    limit = min(int(cfg.x), 10_000)
+    worst, worst_n = heathbrown.identity_sweep(limit)
     rows = heathbrown.classification_map(cfg.x, cf)
     out = cfg.out("hb_classification.csv")
     heathbrown.write_classification_csv(out, rows, header_comments=cfg.header_lines())

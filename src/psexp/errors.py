@@ -1,10 +1,10 @@
 """Error taxonomy shared across the laboratory.
 
-The CLI maps these onto process exit codes: PreconditionError and
-PrecisionError are rejected inputs (exit 2), InvariantError is a failed
-internal check (exit 3), BoundaryError is a runtime inability to certify a
-result (exit 1).  Everything derives from LabError so callers can catch the
-whole family at once.
+The CLI maps these onto process exit codes: PreconditionError,
+PrecisionError and ScaleError are rejected inputs (exit 2), InvariantError
+is a failed internal check (exit 3), BoundaryError is a runtime inability
+to certify a result (exit 1).  Everything derives from LabError so callers
+can catch the whole family at once.
 """
 
 

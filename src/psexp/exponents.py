@@ -520,10 +520,13 @@ class CatalogueReport:
             fh.write("\n")
 
 
-def derive_gamma5_catalogue(h2_exponent=10):
+H2_EXPONENT = 10             # the optimization window is [1, x^H2_EXPONENT]
+
+
+def derive_gamma5_catalogue():
     """Re-derive the final catalogue and reconcile it with the transcription.
 
-    The optimization window is [1, x^h2_exponent]: the bound holds for every
+    The optimization window is [1, x^H2_EXPONENT]: the bound holds for every
     real H >= 1, so the upper endpoint is a surrogate large enough to push
     every falling term below the rest of the catalogue on the region; the
     pruning step removes those and records that it did.  Matching is exact
@@ -535,7 +538,7 @@ def derive_gamma5_catalogue(h2_exponent=10):
     cats = reference_catalogues()
     pre, ref = cats["gamma5_pre"], cats["gamma5_final"]
     h1 = term(0, label="H1")
-    h2 = term(_rat(h2_exponent, "h2_exponent"), label="H2")
+    h2 = term(H2_EXPONENT, label="H2")
     candidates = srinivasan_optimize(pre, h1, h2)
 
     pruned, kept = [], TermSet()
@@ -568,7 +571,7 @@ def derive_gamma5_catalogue(h2_exponent=10):
             computed_extra.append((t.label, t, by, None))
 
     notes = [
-        f"optimization window [1, x^{h2_exponent}]; falling terms at the upper"
+        f"optimization window [1, x^{H2_EXPONENT}]; falling terms at the upper"
         " endpoint were pruned as dominated",
         "reference list transcribed as printed; its final entry closes the"
         " bracket irregularly in the source",

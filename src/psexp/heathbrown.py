@@ -257,10 +257,7 @@ def classification_map(x, c):
     rows = []
     L = 1
     while L <= int(x):
-        L1 = min(2 * L, max(int(x), 1))
-        if L1 < L:
-            L1 = L
-        box = DyadicBox(1, 1, L, max(L, L1))
+        box = DyadicBox(1, 1, L, min(2 * L, max(int(x), 1)))
         rows.append((w.x, w.c, w.U, w.V, w.Z, box.L, box.L1, classify_box(box, w)))
         L *= 2
     return rows

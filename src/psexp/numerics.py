@@ -45,7 +45,7 @@ def _as_fraction(v: Real) -> Fraction:
 
 @dataclass(frozen=True)
 class Parameters:
-    """Immutable run parameters (x; c, gamma; t; progression a mod d; delta).
+    """Immutable run parameters (x; c, gamma; t; progression a mod d).
 
     c and gamma may be passed as Fraction for exact region arithmetic; floats
     are converted to their exact dyadic values, so region_ok is always an
@@ -58,7 +58,6 @@ class Parameters:
     t: float = 0.0
     d: int = 1
     a: int = 0
-    delta: float = 0.01
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and self.x > 0):
@@ -76,8 +75,6 @@ class Parameters:
             raise PreconditionError(f"need gcd(a, d) = 1, got gcd({self.a}, {self.d})")
         if not (math.isfinite(self.t) and abs(self.t) <= T_CAP):
             raise PreconditionError(f"|t| must be finite and <= {T_CAP:g}, got {self.t}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise PreconditionError(f"delta must be positive, got {self.delta}")
 
     @property
     def c_float(self) -> float:

@@ -3,21 +3,24 @@
 Every sieve goes through one kernel, _cross_off, the progression sieve of
 Bays and Hudson (BIT 17, 1977).  The primes p = a (mod d) other than 2 lie
 in one class r (mod m), m = lcm(2, d), with r = a (mod d) odd and prime to
-m; the kernel marks the primes among n = r + m k over one segment of at
-most DEFAULT_SEGMENT values of k.  Each base prime p up to sqrt(hi) that
-does not divide m strikes one numpy slice per segment: the k = -r m^-1
-(mod p), from the first with n >= p^2.  iter_primes_in_ap yields the
-primes of a window (lo, hi] one segment at a time (2 first, when it lies
-in the class), so its memory budget is one segment of bytes (4 MiB), the
-int64 primes of that segment, and the base primes with their roots
--r m^-1 (mod p) and one start index each.  primes_in_ap concatenates those
-blocks over (0, x], and primes_up_to is its d = 1 case, an odd-only sieve.
-lambda_in_ap adds the class prime powers p^k, k >= 2, from the same base
-primes, and sieve_range builds its table of primality and von Mangoldt
-Lambda over (lo, hi] from it.  Every sieve raises ScaleError before
-allocating once hi passes EXACT_CAP = 2^52, where float64 stops holding
-every n exactly; primes_in_ap, which holds all its blocks at once, raises
-it already past SIEVE_CAP = 2^32.
+m; the kernel marks the primes among the n = r + m k of one range of k.
+Each base prime p up to sqrt(hi) that does not divide m strikes one numpy
+slice per range: the k = -r m^-1 (mod p), from the first with n >= p^2.
+A window (lo, hi] is cut at integer edges into segments
+(lo + j S, lo + (j+1) S], S = DEFAULT_SEGMENT, one kernel call on each
+segment's range of k.  iter_primes_in_ap yields the primes of a window one
+segment at a time (2 inside the first, when it lies in the class), so its
+memory budget is at most S / m bytes of marks, the int64 primes of that
+segment, and the base primes with their roots -r m^-1 (mod p) and one
+start index each.  primes_in_ap concatenates those blocks over (0, x], and
+primes_up_to is its d = 1 case, an odd-only sieve.  lambda_in_ap merges the
+class prime powers p^k, k >= 2, from the same base primes into each
+segment's primes, giving the (n, Lambda(n)) blocks of the Lambda-weighted
+sums, and sieve_range builds its table of primality and von Mangoldt Lambda
+over (lo, hi] from them.  Every sieve raises ScaleError before allocating
+once hi passes EXACT_CAP = 2^52, where float64 stops holding every n
+exactly; primes_in_ap, which holds all its blocks at once, raises it
+already past SIEVE_CAP = 2^32.
 
 Membership in the Piatetski-Shapiro sequence for exponent gamma is the
 indicator [-n^gamma] - [-(n+1)^gamma], i.e. whether [y1, y2) with
@@ -57,6 +60,8 @@ def _cross_off(lo: int, hi: int, m: int, r: int, base: np.ndarray,
     base prime inside the range keeps its mark.  Exact: integer arithmetic
     only, in int64 for n <= EXACT_CAP.
     """
+    if hi <= lo:
+        return np.zeros(0, dtype=np.int64)
     is_p = np.ones(hi - lo, dtype=bool)
     if lo == 0 and r == 1:
         is_p[0] = False                     # n = 1
@@ -73,17 +78,18 @@ def _cross_off(lo: int, hi: int, m: int, r: int, base: np.ndarray,
 
 
 def _class_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
+    """The class primes of each segment (e, min(e + S, hi)], e = lo, lo + S, ..."""
     m = d if d % 2 == 0 else 2 * d          # lcm(2, d)
     r = a % d if (a % d) % 2 else a % d + d  # odd, = a (mod d): the class mod m
-    if lo < 2 <= hi and (2 - a) % d == 0:
-        yield np.array([2], dtype=np.int64)
     base = base[m % base != 0]
     roots = np.array([-r * pow(m, -1, p) % p for p in base.tolist()], dtype=np.int64)
     k_sq = -(-(base * base - r) // m)       # the first k with n >= p^2
     first = k_sq + (roots - k_sq) % base    # and the first from there with p | n
-    k_lo, k_hi = max(0, -(-(lo + 1 - r) // m)), (hi - r) // m + 1
-    for s in range(k_lo, k_hi, DEFAULT_SEGMENT):
-        yield _cross_off(s, min(s + DEFAULT_SEGMENT, k_hi), m, r, base, first)
+    for e in range(lo, hi, DEFAULT_SEGMENT):
+        top = min(e + DEFAULT_SEGMENT, hi)
+        ps = _cross_off(max(0, -(-(e + 1 - r) // m)), (top - r) // m + 1,
+                        m, r, base, first)      # the k with e < r + m k <= top
+        yield np.insert(ps, 0, 2) if e < 2 <= top and (2 - a) % d == 0 else ps
 
 
 def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
@@ -101,23 +107,28 @@ def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
 def iter_primes_in_ap(lo: int, hi: int, d: int, a: int):
     """Ascending int64 blocks of the primes p in (lo, hi] with p = a (mod d).
 
-    gcd(a, d) = 1 required.  One block per kernel segment (the prime 2, when
-    it lies in the class, comes first as a block of its own).  The arguments
-    and EXACT_CAP are checked here, before anything is allocated.
+    gcd(a, d) = 1 required.  One block per segment of DEFAULT_SEGMENT
+    integers, (lo, lo + S], (lo + S, lo + 2 S], ..., the last cut at hi.
+    The arguments and EXACT_CAP are checked here, before anything is
+    allocated.
     """
     base = _base_primes(lo, hi, d, a)
     return iter(()) if base is None else _class_blocks(lo, hi, d, a, base)
 
 
 def lambda_in_ap(lo: int, hi: int, d: int, a: int):
-    """(blocks, qs, lam) over (lo, hi], n = a (mod d), from one base sieve.
+    """(n, Lambda(n)) blocks over (lo, hi], n = a (mod d), Lambda(n) != 0.
 
-    blocks are those of iter_primes_in_ap; qs are the prime powers p^k,
-    k >= 2, of the class, ascending, and lam their Lambda = math.log(p).
+    One block per segment of iter_primes_in_ap, from one base sieve: the
+    class primes with Lambda = np.log(p), and the class prime powers p^k,
+    k >= 2, of the segment merged in ascending order with Lambda =
+    math.log(p).  Checked before anything is allocated, as iter_primes_in_ap.
     """
     base = _base_primes(lo, hi, d, a)
-    if base is None:
-        return iter(()), np.zeros(0, dtype=np.int64), np.zeros(0)
+    return iter(()) if base is None else _lambda_blocks(lo, hi, d, a, base)
+
+
+def _lambda_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
     p, q = base, base * base
     qs, ps = [], []
     while p.size:
@@ -128,8 +139,13 @@ def lambda_in_ap(lo: int, hi: int, d: int, a: int):
         p, q = p[keep], q[keep] * p[keep]
     q, p = _concat(qs), _concat(ps)
     order = np.argsort(q)
+    q = q[order]
     lam = np.array([math.log(v) for v in p[order].tolist()], dtype=np.float64)
-    return _class_blocks(lo, hi, d, a, base), q[order], lam
+    for e, blk in zip(range(lo, hi, DEFAULT_SEGMENT), _class_blocks(lo, hi, d, a, base)):
+        i, j = np.searchsorted(q, [e, e + DEFAULT_SEGMENT], side="right")
+        at = np.searchsorted(blk, q[i:j])
+        yield (np.insert(blk, at, q[i:j]),
+               np.insert(np.log(blk.astype(np.float64)), at, lam[i:j]))
 
 
 def _concat(blocks) -> np.ndarray:
@@ -170,20 +186,18 @@ class PrimeTable:
 def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Sieve the half-open range (lo, hi].
 
-    The primes and prime powers come from lambda_in_ap, the primes with
-    Lambda = np.log(p).  The range is materialized in full, so callers
-    wanting bounded memory should go through iter_segments.
+    Lambda and primality come from the blocks of lambda_in_ap.  The range
+    is materialized in full, so callers wanting bounded memory should go
+    through iter_segments.
     """
     if not (0 <= lo < hi):
         raise PreconditionError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     n0 = lo + 1
-    blocks, qs, weights = lambda_in_ap(lo, hi, 1, 0)
-    ps = _concat(blocks)
     is_p = np.zeros(hi - lo, dtype=bool)
-    is_p[ps - n0] = True
     lam = np.zeros(hi - lo)
-    lam[ps - n0] = np.log(ps.astype(np.float64))
-    lam[qs - n0] = weights
+    for n, w in lambda_in_ap(lo, hi, 1, 0):
+        lam[n - n0] = w
+        is_p[n - n0] = w > 0.75 * np.log(n.astype(np.float64))  # Lambda(p^k) = log(p^k) / k
     return PrimeTable(lo, hi, is_p, lam)
 
 

@@ -32,9 +32,8 @@ loop (_psi_sum) whose psi-weights come from the same kernel.
 The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case),
 Gamma_11 (gamma11_sum) and heathbrown.type_sums share one h-loop,
 weighted_h_sums.  Gamma_10 and Gamma_11 sieve their Lambda-window once:
-_lambda_window (also behind Gamma_4 and Gamma_5) takes the class primes of
-one progression-sieve pass and the class prime powers, cut at the
-DEFAULT_SEGMENT edges of the integers.
+they take the (n, Lambda(n)) blocks of sieve.lambda_in_ap (also behind
+Gamma_4 and Gamma_5) as the sieve cuts them.
 Per block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with
 anchors sized for the largest |h| = H and the base phase {t n^c} + k n / d
 (twisted_phase) are formed once; each h then costs {h n^gamma} =
@@ -119,7 +118,7 @@ class SumReport:
 
 
 def _class_primes(x: float, params: Parameters):
-    """Ascending blocks of the primes p <= x, p = a (mod d), one sieve segment each."""
+    """Ascending blocks of the primes p <= x, p = a (mod d), one per sieve segment."""
     return sieve.iter_primes_in_ap(0, int(math.floor(x)), params.d, params.a)
 
 
@@ -486,34 +485,9 @@ def gamma3_sum(x: float, params: Parameters) -> complex:
                      for blk, _ in _slices(_class_primes(x, params))), params)
 
 
-def _lambda_window(lo: int, hi: int, d: int, a: int):
-    """(n, Lambda(n)) blocks over (lo, hi], n = a (mod d), Lambda(n) != 0.
-
-    One block per DEFAULT_SEGMENT slice of the integers of (lo, hi], from one
-    pass of the progression sieve: the class primes with weight np.log(p),
-    and the class prime powers p^k, k >= 2, merged in with weight
-    math.log(p), so every weight is bitwise that of the sieve_range table.
-    """
-    blocks, qs, q_lam = sieve.lambda_in_ap(lo, hi, d, a)
-    ps = np.zeros(0, dtype=np.int64)        # sieved primes not yet handed out
-    for edge in range(lo, hi, sieve.DEFAULT_SEGMENT):
-        top = min(edge + sieve.DEFAULT_SEGMENT, hi)
-        while ps.size == 0 or ps[-1] <= top:
-            blk = next(blocks, None)
-            if blk is None:
-                break
-            ps = np.concatenate([ps, blk]) if ps.size else blk
-        k = int(np.searchsorted(ps, top, side="right"))
-        i, j = np.searchsorted(qs, [edge, top], side="right")
-        at = np.searchsorted(ps[:k], qs[i:j])
-        yield (np.insert(ps[:k], at, qs[i:j]),
-               np.insert(np.log(ps[:k].astype(np.float64)), at, q_lam[i:j]))
-        ps = ps[k:]
-
-
 def gamma4_sum(x: float, params: Parameters) -> complex:
     """Lambda-weighted psi-difference sum over n <= x in the progression."""
-    return _psi_sum(_lambda_window(0, int(math.floor(x)), params.d, params.a), params)
+    return _psi_sum(sieve.lambda_in_ap(0, int(math.floor(x)), params.d, params.a), params)
 
 
 @dataclass
@@ -550,7 +524,7 @@ def gamma5_sum(x: float, params: Parameters) -> complex:
     if x < 4:
         raise PreconditionError(f"gamma5_sum needs x >= 4, got {x}")
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    return _psi_sum(_lambda_window(lo, hi, params.d, params.a), params)
+    return _psi_sum(sieve.lambda_in_ap(lo, hi, params.d, params.a), params)
 
 
 @dataclass
@@ -632,7 +606,7 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
     if H == 0:
         return 0.0
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    window = list(_lambda_window(lo, hi, params.d, params.a))
+    window = list(sieve.lambda_in_ap(lo, hi, params.d, params.a))
     inner = weighted_h_sums(window, range(1, H + 1), params.gamma_float)
     return 2.0 * float(sum(abs(v) for v in inner))
 
@@ -646,7 +620,7 @@ def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
     lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
     if hi <= lo:
         return [0j] * len(hs)
-    return weighted_h_sums(list(_lambda_window(lo, hi, 1, 0)), hs, params.gamma_float,
+    return weighted_h_sums(list(sieve.lambda_in_ap(lo, hi, 1, 0)), hs, params.gamma_float,
                            lambda n: twisted_phase(n, params, int(k)))
 
 

@@ -136,7 +136,7 @@ def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
     ("theorem", "c", "abc"), ("theorem", "c", "1/0"), ("theorem", "d", "1.5"),
     ("vaaler", "H", "1e3"), ("vaaler", "seed", "x"), ("vaaler", "seed", "-1"),
     ("region", "grid-step", "x"), ("hb", "x", "inf"), ("hb", "x", "nan"),
-    ("vaaler", "tol", "nan"), ("vaaler", "tol", "-1")])
+    ("hb", "x", "-5"), ("vaaler", "tol", "nan"), ("vaaler", "tol", "-1")])
 def test_malformed_value_exits_2(tmp_path, capsys, command, key, value):
     # the same conversion serves a flag and a config-file line
     cfgfile = tmp_path / "run.cfg"

@@ -39,7 +39,6 @@ def test_parameters_accepts_typical_point():
     dict(x=10.0, c=1.1, gamma=0.9, d=6, a=3),     # gcd(3, 6) = 3
     dict(x=10.0, c=1.1, gamma=0.9, t=2e6),
     dict(x=10.0, c=1.1, gamma=0.9, t=math.nan),
-    dict(x=10.0, c=1.1, gamma=0.9, delta=0.0),
 ])
 def test_parameters_rejects_bad_input(kwargs):
     with pytest.raises(PreconditionError):

@@ -115,51 +115,61 @@ _CLASSES = ((1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (7, 2), (10, 7),
             (12, 5), (30, 1))          # 2 lies in (1, 0), (3, 2), (5, 2), (7, 2)
 
 
-def _class_edges(d, a, segment):
-    """n on and next to the kernel's segment edges for the class a (mod d).
+def _window_edges(lo, d, segment):
+    """hi on and next to the segment edges lo + j segment of a window from lo.
 
-    The kernel sieves n = r + m k, m = lcm(2, d), r the odd residue mod m
-    that is = a (mod d), in segments of `segment` values of k.
+    One before, on, one after and one class step m = lcm(2, d) after each
+    edge: the sieve cuts (lo, hi] into segments of `segment` integers.
     """
     m = d if d % 2 == 0 else 2 * d
-    r = next(v for v in range(1, m + 1, 2) if (v - a) % d == 0)
-    return sorted({r + m * k * segment + j for k in (1, 2, 3) for j in (-1, 0, 1, m)})
+    return sorted({lo + j * segment + i for j in (1, 2, 3) for i in (-1, 0, 1, m)})
 
 
 @pytest.mark.parametrize("segment", [2, 977])
 def test_slices_match_a_plain_sieve_at_slice_edges(monkeypatch, segment):
-    # n on and next to segment edges, in integers and in each class's k; at
-    # segment 2 every n >= 9 ends in a segment shorter than its largest base
-    # prime, and windows (lo, hi] start and end on and next to those edges
+    # windows (lo, hi] with hi on and next to the integer edges lo + j
+    # segment: from lo = 0 and next to 2, and from lo that puts a class
+    # prime p on an edge (p - segment), just inside the window (p - 1) or
+    # just outside it (p); at segment 2 every n >= 9 ends in a segment
+    # shorter than its largest base prime
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
     sizes = []
     cross_off = sieve._cross_off
 
-    def recording(lo, hi, *args):
-        sizes.append(hi - lo)
-        return cross_off(lo, hi, *args)
+    def recording(lo, hi, m, *args):
+        sizes.append((m, hi - lo))
+        return cross_off(lo, hi, m, *args)
 
     monkeypatch.setattr(sieve, "_cross_off", recording)
     ns = sorted({k * segment + j for k in (1, 2, 3, 150) for j in (-1, 0, 1, 5)})
-    edges = {(d, a): _class_edges(d, a, segment) for d, a in _CLASSES}
-    ref = np.array(_reference_primes(max(ns + sum(edges.values(), []))), dtype=np.int64)
+    ref = np.array(_reference_primes(154 * segment + 1000), dtype=np.int64)
     for n in ns:
         assert sieve.primes_up_to(n).tolist() == ref[ref <= n].tolist(), n
-    for (d, a), cuts in edges.items():
+    for d, a in _CLASSES:
         cls = ref[ref % d == a % d]
-        for n in ns + cuts:
+        for n in ns:
             got = sieve.primes_in_ap(n + 0.5, d, a)
             assert got.dtype == np.int64
             assert got.tolist() == cls[cls <= n].tolist(), (n, d, a)
-        for lo in [0, 1, 2, 3] + cuts[::3]:
-            for hi in cuts[1::2]:
+        p = int(cls[np.searchsorted(cls, 150 * segment)])
+        for lo in (0, 1, 2, 3, p - segment, p - 1, p):
+            for hi in _window_edges(lo, d, segment):
                 blocks = list(sieve.iter_primes_in_ap(lo, hi, d, a))
                 got = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
                 assert all(b.dtype == np.int64 for b in blocks)
                 assert np.all(np.diff(got) > 0), (lo, hi, d, a)   # ascending, disjoint
                 want = cls[(cls > lo) & (cls <= hi)]
                 assert got.tolist() == want.tolist(), (lo, hi, d, a)
-    assert max(sizes) == segment
+                # one block per segment of integers, each its own segment's primes
+                assert len(blocks) == (-(-(hi - lo) // segment) if hi >= 2 else 0)
+                for j, b in enumerate(blocks):
+                    e = lo + j * segment
+                    assert b.tolist() == want[(want > e) & (want <= e + segment)].tolist()
+                if lo < 2 <= hi and cls[0] == 2:
+                    assert blocks[0][0] == 2
+    # a segment of `segment` integers holds at most ceil(segment / m) values of k
+    assert all(k <= -(-segment // m) for m, k in sizes)
+    assert max(k for m, k in sizes if m == 2) == -(-segment // 2)
 
 
 def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):

@@ -273,9 +273,9 @@ def test_trend_rows_are_bitwise_one_point_runs(monkeypatch, seed):
 
 def test_trend_sieves_once(monkeypatch):
     # one pass of the progression sieve over the class 1 (mod 6) up to 1e5,
-    # k = 0 .. 16666 (n = 1 + 6 k <= 99997), in consecutive segments; the
-    # base primes up to sqrt(1e5) come from the odd class 1 (mod 2) and do
-    # not count as a second sieve
+    # one kernel call per 5000 integers (e, e + 5000] on the k with
+    # e < 1 + 6 k <= e + 5000; the base primes up to sqrt(1e5) come from the
+    # odd class 1 (mod 2) and do not count as a second sieve
     calls = []
     cross_off = sieve._cross_off
 
@@ -288,7 +288,7 @@ def test_trend_sieves_once(monkeypatch):
     p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     sums.theorem_trend(p, sums.geometric_schedule(1e3, 1e5))
     assert [c for c in calls if c[:2] != (2, 1)] == [
-        (6, 1, 0, 5000), (6, 1, 5000, 10000), (6, 1, 10000, 15000), (6, 1, 15000, 16667)]
+        (6, 1, -(-e // 6), (e + 4999) // 6 + 1) for e in range(0, 100_000, 5000)]
     assert all(1 + 2 * (hi - 1) <= 316 for m, r, lo, hi in calls if (m, r) == (2, 1))
 
 
@@ -330,14 +330,14 @@ def test_trend_rows_straddle_segment_edges(monkeypatch):
 def test_lambda_window_is_the_class_of_the_table(monkeypatch, segment):
     # block by block and bitwise: the Lambda-window of the progression sieve
     # against the sieve_range table of the whole window, kept to n = a (mod d)
-    # and Lambda(n) != 0 and cut at the DEFAULT_SEGMENT edges
+    # and Lambda(n) != 0 and cut at the DEFAULT_SEGMENT edges of the integers
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
     # 1024 = 2^10 and 2187 = 3^7 open windows, 4096 = 2^12 and 3125 = 5^5 close them
     for lo, hi in ((0, 5000), (2500, 5000), (1023, 4097), (1024, 4096), (2187, 3125)):
         table = sieve.sieve_range(lo, hi)
         ns = table.n_values()
         for d, a in ((1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (10, 7)):
-            got = list(sums._lambda_window(lo, hi, d, a))
+            got = list(sieve.lambda_in_ap(lo, hi, d, a))
             edges = list(range(lo, hi, segment))
             assert len(got) == len(edges)
             for (n, lam), e in zip(got, edges):

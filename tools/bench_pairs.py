@@ -12,7 +12,8 @@ outside the benchmark, each side runs `psexp theorem --x-schedule S` once
 per schedule of SCALE in a fresh interpreter, which reports its seconds and
 its own ru_maxrss.  The series block gives, per metric, both sides' values,
 their medians, the parent's quartiles and the relative change of the median
-against the BENCHMARK.json bound; CLAIM names the metric claimed to improve.
+against the BENCHMARK.json bound; CLAIM names the metric claimed to improve
+(None when no gain is claimed, and then no claim_check is made).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import tempfile
 PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 3))
 SECONDS = 40
 SCALE = ("1e5:1e8", "1e5:1e9", "1e5:1e10")
-CLAIM = "trend.wall_s"
+CLAIM = None
 _SCALE_RUN = """
 import resource, sys, time
 from psexp import cli
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
         "order": "parent and change alternate; pair i runs parent first when i is "
                  "even (pairs counted over all workloads in run order)",
         "claim": CLAIM,
-        "claim_check": claim_check(runs, bounds),
+        "claim_check": claim_check(runs, bounds) if CLAIM else None,
         "runs": runs,
         "series": series(runs, bounds),
         "checksums": {w: {side: sorted({r["checksum"] for r in runs[side][w]})
