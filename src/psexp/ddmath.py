@@ -19,24 +19,33 @@ exactly into the integer W and a small f, and exp2 applies a 27-term Taylor
 series of exp on |u| <= ln(2)/2.  Powers of two round-trip exactly.  It costs
 ~5 us per element.
 
-dd_scaled_pow, the kernel every phase goes through, calls dd_pow_int only at
-sparse anchors n0 (n with its low s bits cleared) and reaches each n by a
-local binomial expansion: the constant and linear terms in pair arithmetic,
-the small remainder A g(r) in float64 (Odlyzko-Schonhage style local
-expansion).  The anchor width s grows with the bit length of n and shrinks
-with |t| n^c, so that the remainder stays <= 2^11 and its truncation
-<= 2^-45; see dd_scaled_pow for the error budget.  Passing t_max sizes the
-anchors for a larger |t|, so one pair of t n^c serves every multiple h t n^c
-with |h t| <= |t_max| (numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a
-correctly rounded square root with one exact Newton residual, exact at
-perfect squares.
+dd_scaled_frac, the fused kernel every phase goes through, calls dd_pow_int
+only at sparse anchors n0 (n with its low s bits cleared) and reaches each n
+by a local binomial expansion: the constant and linear terms in pair
+arithmetic, the small remainder A g(r) in float64 (Odlyzko-Schonhage style
+local expansion).  In the same pass over chunks of _CHUNK elements it
+reduces each chunk's t n^c pair to the fraction pair {t n^c}, so no
+full-size t n^c pair is held, and it returns max |t n^c| for the 2^70 cap.
+The anchor width s grows with the bit length of n and shrinks with |t| n^c,
+so that the remainder stays <= 2^11 and its truncation <= 2^-45; see
+dd_scaled_frac for the error budget, which the fusion leaves as it was.
+The powers at the anchors form an AnchorTable: a walk builds one for every
+n up to its end (anchor_table, one dd_pow_int call) and passes it to each
+call, and a call without one builds it from its own n; either way the values
+are the same, bit for bit.  Passing t_max sizes the anchors for a larger
+|t|, so one pair {t n^c} serves every multiple h t n^c with |h t| <= |t_max|
+(numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a correctly rounded square
+root with one exact Newton residual, exact at perfect squares.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import PreconditionError
 
 _SPLITTER = 134217729.0            # 2^27 + 1, Dekker
 _SQRT_HALF = 0.7071067811865476
@@ -278,6 +287,7 @@ _CORR_BITS = 11          # |A g(r)| <= 2^11: float64 part of an element
 _TRUNC_BITS = -45        # |A| * (tail of g beyond r^J) <= 2^-45
 _TAYLOR_J = 8            # g(r) keeps binom(c, j) r^j for j = 2 .. J
 _CHUNK = 1 << 13         # elements per correction pass: temporaries stay in cache
+_TABLE_SPAN = 64         # anchor_table: at most one anchor per this many integers
 
 
 def _log2(v: float) -> float:
@@ -299,8 +309,10 @@ def _anchor_shifts(c: float, t: float, binom: list) -> np.ndarray:
     r = k / n0 < 2^(s - L + 1) <= 1/2 and |A| = |t| n0^c < |t| 2^(cL).  For
     0 < c <= 2 the |binom(c, j)| do not increase with j >= 2, so any tail of
     g from r^j on is at most 2 |binom(c, j)| r^j.  s is the largest width with
-    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS.  For c = 1/2, 1
-    or 2 dd_pow_int has a cheap path exact at perfect powers, and s = 0.
+    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS.  Both bounds
+    grow with L (slopes 1 - c/2 and 1 - c/9), so s never decreases with L.
+    For c = 1/2, 1 or 2 dd_pow_int has a cheap path exact at perfect powers,
+    and s = 0.
     """
     bits = np.arange(65.0)
     if c in (0.5, 1.0, 2.0):
@@ -313,17 +325,57 @@ def _anchor_shifts(c: float, t: float, binom: list) -> np.ndarray:
     return np.maximum(np.floor(s), 0.0).astype(np.int64)
 
 
-def _distinct(v: np.ndarray):
-    """Sorted distinct values of v and, per element, the index of its value."""
-    if np.all(v[1:] >= v[:-1]):
-        first = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        counts = np.diff(np.append(first, v.size))
-        return v[first], np.repeat(np.arange(first.size), counts)
-    return np.unique(v, return_inverse=True)
+class AnchorTable(NamedTuple):
+    """t n0^c (A) and c t n0^(c-1) (D1) as pairs at sorted anchors n0.
+
+    Built for one (c, t, width) and every n <= n_max: anchor_table for a
+    whole walk, or dd_scaled_frac from the n of one call.
+    """
+
+    c: float
+    t: float
+    width: float
+    n_max: int
+    n0: np.ndarray
+    a_hi: np.ndarray
+    a_lo: np.ndarray
+    d_hi: np.ndarray
+    d_lo: np.ndarray
 
 
-def dd_scaled_pow(n, c: float, t: float, t_max: float | None = None):
-    """t * n^c as a pair, for positive integers 1 <= n < 2^53 and 0 < c <= 2.
+def _table(anchors: np.ndarray, c: float, t: float, width: float, n_max: int) -> AnchorTable:
+    # one dd_pow_int call; the anchors are exact in float64, their low s bits being zero
+    a_hi, a_lo = dd_mul_d(*dd_pow_int(anchors, c), t)
+    d_hi, d_lo = dd_div(*dd_mul_d(a_hi, a_lo, c), anchors.astype(np.float64), 0.0)
+    return AnchorTable(c, t, width, n_max, anchors, a_hi, a_lo, d_hi, d_lo)
+
+
+def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):
+    """The AnchorTable of every 1 <= n <= n_max, from one dd_pow_int call.
+
+    Its anchors are those of dd_scaled_frac(n, c, t, t_max) for each such n,
+    so a walk that powers them once gets, from every call given the table,
+    the values a call without it gives, bit for bit.  None when the anchors
+    are denser than one per _TABLE_SPAN integers (every n is its own anchor
+    for c = 1/2, 1 or 2, and for large |t_max| n^c); calls then power the
+    anchors of their own n.
+    """
+    c, t = float(c), float(t)
+    width = t if t_max is None else float(t_max)
+    n_max = int(n_max)
+    shifts = _anchor_shifts(c, width, _binomials(c))
+    edges = [(1 << (L - 1), min((1 << L) - 1, n_max), 1 << int(shifts[L]))
+             for L in range(1, max(n_max, 0).bit_length() + 1)]
+    if n_max < 1 or sum((hi - lo) // step + 1 for lo, hi, step in edges) > n_max // _TABLE_SPAN:
+        return None
+    anchors = np.concatenate([np.arange(lo, hi + 1, step, dtype=np.int64)
+                              for lo, hi, step in edges])
+    return _table(anchors, c, t, width, n_max)
+
+
+def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
+                   table: AnchorTable | None = None):
+    """({t n^c} as a pair (f_hi, f_lo), max |t n^c|), for 1 <= n < 2^53, 0 < c <= 2.
 
     Each n is expanded around the anchor n0 = n with its low s bits cleared,
     where s depends only on the bit length of n, c and t_max (_anchor_shifts;
@@ -333,12 +385,18 @@ def dd_scaled_pow(n, c: float, t: float, t_max: float | None = None):
         t n^c = A + D1 k + A g(r),   A = t n0^c,  D1 = c A / n0,
         k = n - n0,  r = k / n0,  g(r) = sum_{j>=2} binom(c, j) r^j.
 
-    A comes from dd_pow_int once per distinct anchor and D1 from dd_div; the
-    constant and linear terms are pair arithmetic (D1 k is exact up to the
-    pair's rounding), and only A_hi g(r) with j <= J = 8 is float64 Horner.
-    Elements whose n is its own anchor (all of them when s = 0) equal
-    t * dd_pow_int(n, c) bit for bit, and no value depends on the other
-    elements or on the chunking.
+    A comes from dd_pow_int once per anchor and D1 from dd_div, both rows of
+    an AnchorTable: the given table (anchor_table, for a whole walk) or one
+    built from the distinct anchors of this call's n.  Per _CHUNK elements the
+    anchors are found by searchsorted, the constant and linear terms are pair
+    arithmetic (D1 k is exact up to the pair's rounding), only A_hi g(r) with
+    j <= J = 8 is float64 Horner, and the chunk's t n^c pair goes straight
+    to dd_frac, so no full-size t n^c pair is held.  The second value is
+    max |t n^c| (its hi part), for the callers' 2^70 cap.  When every s is 0
+    (c = 1/2, 1 or 2, small n, or large |t_max|) each element is
+    t * dd_pow_int(n, c); elements whose n is its own anchor equal that bit
+    for bit in any case, and no value depends on the other elements, on the
+    chunking or on whether a table was given.
 
     Error budget, beyond dd_pow_int's own ~2^-104 |t n^c| at n0: the
     float64 remainder is at most 2^11 |t / t_max|, so its rounding (Horner,
@@ -351,30 +409,47 @@ def dd_scaled_pow(n, c: float, t: float, t_max: float | None = None):
     {t n^c} while |t n^c| <= 2^53 and 1.4e-11 near 2^70.
     """
     c, t = float(c), float(t)
+    width = t if t_max is None else float(t_max)
     n = np.asarray(n, dtype=np.int64)
     flat = n.ravel()
+    fhi, flo = np.empty(flat.size), np.empty(flat.size)
+    peak = 0.0
+    if not flat.size:
+        return fhi.reshape(n.shape), flo.reshape(n.shape), peak
     binom = _binomials(c)
-    width_t = t if t_max is None else float(t_max)
-    s = _anchor_shifts(c, width_t, binom)[np.frexp(flat.astype(np.float64))[1]]
-    if not s.any():
-        hi, lo = dd_mul_d(*dd_pow_int(flat, c), t)
-        return hi.reshape(n.shape), lo.reshape(n.shape)
-    anchors, which = _distinct((flat >> s) << s)
-    a_hi, a_lo = dd_mul_d(*dd_pow_int(anchors, c), t)
-    n0f = anchors.astype(np.float64)                  # exact: low s bits are zero
-    d_hi, d_lo = dd_div(*dd_mul_d(a_hi, a_lo, c), n0f, 0.0)
-
-    hi, lo = np.empty(flat.size), np.empty(flat.size)
+    shifts = _anchor_shifts(c, width, binom)
+    top = int(flat.max())
+    if table is not None and ((table.c, table.t, table.width) != (c, t, width)
+                              or top > table.n_max):
+        raise PreconditionError(f"anchor table for (c, t, t_max) = {table[:3]}, "
+                                f"n <= {table.n_max} does not serve ({c}, {t}, {width}), "
+                                f"n <= {top}")
+    anchored = shifts[top.bit_length()] > 0          # s grows with L: some s > 0
+    if anchored:
+        s = shifts[np.frexp(flat.astype(np.float64))[1]]
+        anchors = (flat >> s) << s
+        if table is None and np.all(anchors[1:] >= anchors[:-1]):   # ascending: no sort
+            table = _table(anchors[np.concatenate(([True], anchors[1:] != anchors[:-1]))],
+                           c, t, width, top)
+        elif table is None:
+            table = _table(np.unique(anchors), c, t, width, top)
     for i in range(0, flat.size, _CHUNK):
         part = slice(i, i + _CHUNK)
-        j = which[part]
-        ah, al = a_hi[j], a_lo[j]
-        k = (flat[part] - anchors[j]).astype(np.float64)  # exact, < 2^s
-        r = k / n0f[j]
-        g = binom[_TAYLOR_J - 2]
-        for b in binom[_TAYLOR_J - 3::-1]:
-            g = g * r + b
-        lin_hi, lin_lo = dd_add_d(*dd_mul_d(d_hi[j], d_lo[j], k), ah * (g * r * r))
-        hi[part], lo[part] = dd_add(ah, al, lin_hi, lin_lo)
-    return hi.reshape(n.shape), lo.reshape(n.shape)
-
+        m = flat[part]
+        if anchored:
+            n0 = anchors[part]
+            j = np.searchsorted(table.n0, n0)
+            ah, al = table.a_hi[j], table.a_lo[j]
+            k = (m - n0).astype(np.float64)              # exact, < 2^s
+            r = k / n0.astype(np.float64)
+            g = binom[_TAYLOR_J - 2]
+            for b in binom[_TAYLOR_J - 3::-1]:
+                g = g * r + b
+            lin_hi, lin_lo = dd_add_d(*dd_mul_d(table.d_hi[j], table.d_lo[j], k),
+                                      ah * (g * r * r))
+            hi, lo = dd_add(ah, al, lin_hi, lin_lo)
+        else:
+            hi, lo = dd_mul_d(*dd_pow_int(m, c), t)
+        peak = max(peak, float(np.max(np.abs(hi))))
+        fhi[part], flo[part] = dd_frac(hi, lo)
+    return fhi.reshape(n.shape), flo.reshape(n.shape), peak

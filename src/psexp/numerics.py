@@ -4,15 +4,19 @@ Notation follows the classical conventions: e(y) = exp(2*pi*i*y), psi(y) =
 {y} - 1/2, and the phase of interest is the fractional part of t * n^c for
 integer n.  The fractional part is the only thing trig functions ever see, so
 large arguments never reach sin/cos.  phase_mod1_vec (and phase_mod1, its
-one-element case) take t * n^c as a pair from ddmath.dd_scaled_pow: one
-double-double power per sparse anchor, then a local binomial expansion per
-element, with the anchor width set by the error budget and |t| n^c.  The
-documented per-phase error is PHASE_BUDGET = 1e-9 while |t n^c| < 2^70; the
-kernel stays within ~1e-12 of mpmath while |t n^c| <= 2^53 and within ~1e-10
-up to the cap (measured: 9e-14 and 1.4e-11).  The h-loops (1 <= |h| <= H)
-take one pair {n^c} from frac_pair, with anchors sized for |t| = H, and
-form each {h n^c} by frac_times: one multiply and one floor per h, error
-|h| times the pair's error plus |h| 2^-53.
+one-element case) take {t * n^c} as a pair from the fused kernel
+ddmath.dd_scaled_frac: one double-double power per sparse anchor, then a
+local binomial expansion per element, with the anchor width set by the error
+budget and |t| n^c, reduced mod 1 chunk by chunk.  A walk passes the
+ddmath.anchor_table it built once for its whole range, so it powers each
+anchor once; a call without one powers the anchors of its own n.  Every n
+must be an integer 1 <= n < 2^53 (check_n).  The documented per-phase error
+is PHASE_BUDGET = 1e-9 while |t n^c| < 2^70; the kernel stays within ~1e-12
+of mpmath while |t n^c| <= 2^53 and within ~1e-10 up to the cap (measured:
+9e-14 and 1.4e-11).  The h-loops (1 <= |h| <= H) take one pair {n^c} from
+frac_pair, with anchors sized for |t| = H, and form each {h n^c} by
+frac_times: one multiply and one floor per h, error |h| times the pair's
+error plus |h| 2^-53.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from . import ddmath as dm
 from .errors import PrecisionError, PreconditionError
 
 PHASE_CAP = 2.0 ** 70       # |t * n^c| must stay under this
+N_CAP = 2 ** 53             # n must stay under this
 PHASE_BUDGET = 1e-9         # documented |{t n^c}| error per phase evaluation
 T_CAP = 1.0e6               # |t| cap for phase evaluation
 
@@ -149,34 +154,47 @@ def phase_mod1(t: float, n: int, c: float) -> float:
     Raises PrecisionError once |t| * n^c reaches 2^70, where the pair can no
     longer pin the fractional part to the documented 1e-9.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n < N_CAP):
+        raise PreconditionError(f"n must be an integer in [1, 2^53), got {n!r}")
     try:
         return float(phase_mod1_vec(t, np.array([n], dtype=np.int64), c)[0])
     except PrecisionError as exc:
         raise PrecisionError(f"{exc} for t={t}, n={n}, c={c}") from None
 
 
-def phase_mod1_vec(t: float, n: np.ndarray, c: float) -> np.ndarray:
-    """{t * n^c} over an integer array n, from the anchored kernel.
+def check_n(n) -> np.ndarray:
+    """n as an int64 array for the phase kernel: integers 1 <= n < N_CAP = 2^53.
+
+    Float arrays must hold integers (nothing is truncated); past 2^53 the
+    kernel's float64 n and its anchors stop being exact.
+    """
+    n = np.asarray(n)
+    if n.dtype.kind not in "biuf":
+        raise PreconditionError(f"n must be an integer array, got dtype {n.dtype}")
+    if n.dtype.kind == "f" and not np.all(n == np.floor(n)):
+        raise PreconditionError("n must hold integers, got non-integral values")
+    if n.size and np.min(n) < 1:
+        raise PreconditionError("n must contain positive integers only")
+    if n.size and np.max(n) >= N_CAP:
+        raise PreconditionError(f"n must stay below 2^53, got max n = {int(np.max(n))}")
+    return n.astype(np.int64, copy=False)
+
+
+def phase_mod1_vec(t: float, n: np.ndarray, c: float, table=None) -> np.ndarray:
+    """{t * n^c} over an integer array n, from the fused anchored kernel.
 
     Each element is within PHASE_BUDGET of the exact value (see
-    ddmath.dd_scaled_pow for the budget actually spent) and does not depend
-    on the other elements.  Raises PrecisionError once max |t| * n^c reaches
-    PHASE_CAP = 2^70.
+    ddmath.dd_scaled_frac for the budget actually spent) and does not depend
+    on the other elements, nor on table, a ddmath.anchor_table for (c, t)
+    covering n that a walk builds once.  n goes through check_n.  Raises
+    PrecisionError once max |t| * n^c reaches PHASE_CAP = 2^70.
     """
     _check_phase_args(float(t), float(c))
-    n = np.asarray(n)
-    if n.size == 0:
-        return np.zeros(0)
-    if np.any(n < 1):
-        raise PreconditionError("n must contain positive integers only")
-    vhi, vlo = dm.dd_scaled_pow(n.astype(np.int64), float(c), float(t))
-    peak = float(np.max(np.abs(vhi)))
+    n = check_n(n)
+    fhi, flo, peak = dm.dd_scaled_frac(n, float(c), float(t), table=table)
     if peak >= PHASE_CAP:
         raise PrecisionError(f"precision: max |t * n^c| ~ {peak:.3e} >= 2^70")
-    fhi, flo = dm.dd_frac(vhi, vlo)
-    out = np.asarray(fhi + flo, dtype=np.float64)
+    out = np.add(fhi, flo, out=fhi)
     out[out < 0.0] += 1.0
     out[out >= 1.0] = 0.0
     return out
@@ -192,21 +210,17 @@ def check_height(H) -> int:
 def frac_pair(n: np.ndarray, c: float, H: int):
     """{n^c} as a pair (f_hi, f_lo), from which frac_times forms {h n^c}, |h| <= H.
 
-    One ddmath.dd_scaled_pow call at t = 1 with the anchors sized for
+    One ddmath.dd_scaled_frac call at t = 1 with the anchors sized for
     |t| = H, so the float64 remainder of each element stays below 2^11 / H
     and h times the pair's error is at most what a direct
     phase_mod1_vec(h, n, c) spends.  Raises PrecisionError once H * max n^c
     reaches PHASE_CAP = 2^70, as that direct call at h = H would.
     """
     _check_phase_args(float(H), float(c))
-    n = np.asarray(n, dtype=np.int64)
-    if n.size and np.any(n < 1):
-        raise PreconditionError("n must contain positive integers only")
-    vhi, vlo = dm.dd_scaled_pow(n, float(c), 1.0, t_max=float(H))
-    peak = float(H) * float(np.max(vhi, initial=0.0))
-    if peak >= PHASE_CAP:
-        raise PrecisionError(f"precision: H * max n^c ~ {peak:.3e} >= 2^70")
-    return dm.dd_frac(vhi, vlo)
+    fhi, flo, peak = dm.dd_scaled_frac(check_n(n), float(c), 1.0, t_max=float(H))
+    if float(H) * peak >= PHASE_CAP:
+        raise PrecisionError(f"precision: H * max n^c ~ {float(H) * peak:.3e} >= 2^70")
+    return fhi, flo
 
 
 def frac_times(pair, h: int) -> np.ndarray:
@@ -228,9 +242,16 @@ def frac_times(pair, h: int) -> np.ndarray:
 
 
 def e_of_frac_vec(fracs: np.ndarray) -> np.ndarray:
-    """complex128 e(y) from precomputed fractional parts in [0, 1)."""
+    """complex128 e(y) from precomputed fractional parts in [0, 1).
+
+    cos and sin are written straight into the real and imaginary parts of
+    one complex array: bitwise cos + 1j sin, without its three temporaries.
+    """
     ang = (2.0 * math.pi) * np.asarray(fracs)
-    return np.cos(ang) + 1j * np.sin(ang)
+    z = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=z.real)
+    np.sin(ang, out=z.imag)
+    return z
 
 
 def weighted_e_sum(w: np.ndarray, fracs: np.ndarray) -> complex:

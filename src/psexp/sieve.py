@@ -289,10 +289,12 @@ def _certified_row(m: int, gamma: float):
     return (fl1 + (f1 > 0.0)) - (fl0 + (f0 > 0.0)) >= 1, f0, f1
 
 
-def ps_floor(n: np.ndarray, gamma: float):
+def ps_floor(n: np.ndarray, gamma: float, table=None):
     """(member, f0, f1, delta) for each n >= 1: the floor identity's pieces.
 
-    f0 = {n^gamma} comes from one numerics.phase_mod1_vec element and
+    n goes through numerics.check_n (integers 1 <= n < 2^53).  f0 = {n^gamma}
+    comes from one numerics.phase_mod1_vec element (table, a walk's
+    ddmath.anchor_table for (gamma, 1), is passed on to it) and
     delta = (n+1)^gamma - n^gamma = n^gamma expm1(gamma log1p(1/n)) from
     float64, so member = [-n^gamma] - [-(n+1)^gamma] = [f0 + delta >= 1] and
     f1 = {(n+1)^gamma} = f0 + delta - member need no second power.  Rows with
@@ -308,16 +310,14 @@ def ps_floor(n: np.ndarray, gamma: float):
     row is certified whenever f0 or f1 lies within 1e-9 of an integer, member
     never rests on a value that close to the decision boundary.
     """
-    n = np.asarray(n, dtype=np.int64)
-    if np.any(n < 1):
-        raise PreconditionError("ps_floor needs n >= 1")
+    n = numerics.check_n(n)
     if not (0.0 < gamma <= 1.0):
         raise PreconditionError(f"need 0 < gamma <= 1, got {gamma}")
     if gamma == 1.0:
         return (np.ones(n.shape, dtype=bool), np.zeros(n.shape), np.zeros(n.shape),
                 np.ones(n.shape))
 
-    f0 = numerics.phase_mod1_vec(1.0, n, gamma)
+    f0 = numerics.phase_mod1_vec(1.0, n, gamma, table=table)
     nf = n.astype(np.float64)
     delta = np.power(nf, gamma) * np.expm1(gamma * np.log1p(1.0 / nf))
     s = f0 + delta

@@ -12,6 +12,9 @@ side it is given, the decomposition side (pi_gamma, Gamma_1, Gamma_2) and
 the main-term side, and it reports every side at every x, bitwise as a walk
 to that x alone would.  theorem_trend sieves once and walks once with both
 sides; gamma_decomposition and rhs_main each walk to one x with their own.
+The walk powers the anchors of t p^c, and the decomposition side those of
+p^gamma, once for its whole range (ddmath.anchor_table); rhs_main's walk has
+no such side and powers no p^gamma anchors.
 The walk streams the blocks of the progression sieve
 (sieve.iter_primes_in_ap), re-cut to exact BLOCK slices with one prime of
 lookahead (_slices), so it holds at most one sieve segment and one slice,
@@ -55,6 +58,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import sieve
+from .ddmath import anchor_table
 from .errors import PreconditionError
 from .numerics import (PHASE_BUDGET, Parameters, check_height, e_of_frac_vec,
                        frac_pair, frac_times, phase_mod1_vec, weighted_e_sum)
@@ -170,9 +174,13 @@ def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
     x is None for a whole slice, or the checkpoint when the slice holds the
     last prime <= x.  Each checkpoint folds its slice into a copy of every
     state, so its report is bitwise the one a walk to that x alone gives.
+    The anchors of t p^c are powered once for the walk (ddmath.anchor_table
+    up to max(xs)), which moves no digit.
     """
+    table = anchor_table(math.floor(max(xs, default=0.0)), params.c_float, params.t)
+
     def slice_terms(blk, nxt):
-        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float))
+        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float, table=table))
         return [side.terms(blk, nxt, z) for side in sides]
 
     empty = np.zeros(0, dtype=np.int64)
@@ -230,17 +238,18 @@ class DecompositionReport:
         return self.identity_gap <= self.tolerance
 
 
-def _decomposition_side(params: Parameters) -> SimpleNamespace:
-    """The walk's side that gives a DecompositionReport at each x.
+def _decomposition_side(params: Parameters, x_max: float) -> SimpleNamespace:
+    """The walk's side that gives a DecompositionReport at each x <= x_max.
 
     One sieve.ps_floor call per block gives the indicator, the Gamma_1 weight
     delta = (p+1)^g - p^g and both psi arguments, so mask_mismatches is 0 by
-    construction.
+    construction.  The anchors of p^g are powered once, up to x_max.
     """
     gf = params.gamma_float
+    table = anchor_table(math.floor(x_max), gf, 1.0)
 
     def terms(blk, nxt, z):
-        member, f0, f1, delta = sieve.ps_floor(blk, gf)
+        member, f0, f1, delta = sieve.ps_floor(blk, gf, table=table)
         w2 = _psi_of_minus(f1) - _psi_of_minus(f0)
         return z, delta, w2, member
 
@@ -266,7 +275,7 @@ def _decomposition_side(params: Parameters) -> SimpleNamespace:
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
     return _checkpointed(params, _class_primes(params.x, params), [params.x],
-                         [_decomposition_side(params)])[0][0]
+                         [_decomposition_side(params, params.x)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +460,7 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
             raise PreconditionError(f"schedule x must be finite, got {x}")
     grid = sorted(set(xs))
     blocks = _class_primes(max(grid, default=0.0), params)
-    sides = [_decomposition_side(params), _main_term_side(params)]
+    sides = [_decomposition_side(params, max(grid, default=0.0)), _main_term_side(params)]
     at = dict(zip(grid, zip(*_checkpointed(params, blocks, grid, sides))))
     expo = float(params.claimed_exponent())
     rows = []

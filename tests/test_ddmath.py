@@ -1,4 +1,4 @@
-"""The anchored kernel dd_scaled_pow against dd_pow_int and mpmath."""
+"""The fused anchored kernel dd_scaled_frac against dd_pow_int and mpmath."""
 
 import math
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from psexp import ddmath as dm
 from psexp import sieve
+from psexp.errors import PreconditionError
 from psexp.numerics import PHASE_BUDGET, PHASE_CAP, T_CAP
 
 
@@ -22,6 +23,11 @@ def circle_gap(a, b):
 
 def oracle(n, c, t):
     return dm.dd_mul_d(*dm.dd_pow_int(np.asarray(n, dtype=np.int64), c), t)
+
+
+def scaled(n, c, t, **kw):
+    """The kernel's {t n^c} pair, without its peak."""
+    return dm.dd_scaled_frac(n, c, t, **kw)[:2]
 
 
 def mp_gap(n, c, t, pair):
@@ -42,7 +48,7 @@ def test_agrees_with_dd_pow_int(size, c, t, sign):
     ns = np.arange(n0, n0 + 200, dtype=np.int64)
     top = t * float(ns[-1]) ** c
     assume(top < PHASE_CAP)
-    gap = float(np.max(circle_gap(dm.dd_scaled_pow(ns, c, sign * t), oracle(ns, c, sign * t))))
+    gap = float(np.max(circle_gap(scaled(ns, c, sign * t), oracle(ns, c, sign * t))))
     assert gap <= (1e-12 if top <= 2.0 ** 53 else PHASE_BUDGET)
 
 
@@ -51,11 +57,11 @@ def test_powers_of_two_are_anchors(c):
     # n = 2^k keeps its own bits as anchor: the value is dd_pow_int's, bit for bit
     n = 2 ** np.arange(0, 40, dtype=np.int64)
     n = n[0.5 * n.astype(float) ** c < PHASE_CAP]
-    hi, lo = dm.dd_scaled_pow(n, c, 0.5)
-    ohi, olo = oracle(n, c, 0.5)
+    hi, lo = scaled(n, c, 0.5)
+    ohi, olo = dm.dd_frac(*oracle(n, c, 0.5))
     assert np.array_equal(hi, ohi) and np.array_equal(lo, olo)
     near = np.concatenate([n[2:] - 1, n[2:] + 1])
-    gap = circle_gap(dm.dd_scaled_pow(near, c, 0.5), oracle(near, c, 0.5))
+    gap = circle_gap(scaled(near, c, 0.5), oracle(near, c, 0.5))
     small = 0.5 * near.astype(float) ** c <= 2.0 ** 53
     assert np.max(gap[small]) <= 1e-12 and np.max(gap) <= PHASE_BUDGET
 
@@ -63,7 +69,7 @@ def test_powers_of_two_are_anchors(c):
 @pytest.mark.parametrize("c", [0.5, 0.75, 0.995, 1.0])
 def test_near_two_to_the_52(c):
     n = 2 ** 52 - np.array([1, 2, 3, 1000, 123457, 2 ** 26 + 5], dtype=np.int64)
-    pair = dm.dd_scaled_pow(n, c, 1.5)
+    pair = scaled(n, c, 1.5)
     assert np.max(circle_gap(pair, oracle(n, c, 1.5))) <= 1e-12
     for i in (0, 3, 5):
         assert mp_gap(n[i], c, 1.5, (pair[0][i], pair[1][i])) <= 1e-12
@@ -74,8 +80,8 @@ def test_near_two_to_the_52(c):
 def test_at_the_t_cap(t, c):
     top = min((PHASE_CAP / T_CAP) ** (1.0 / c) / 2, 2.0 ** 52)
     n = np.unique(np.geomspace(2, top, 300).astype(np.int64))
-    pair = dm.dd_scaled_pow(n, c, t)
-    assert np.max(np.abs(pair[0])) < PHASE_CAP
+    *pair, peak = dm.dd_scaled_frac(n, c, t)
+    assert peak < PHASE_CAP
     assert np.max(circle_gap(pair, oracle(n, c, t))) <= PHASE_BUDGET
     assert mp_gap(n[-1], c, t, (pair[0][-1], pair[1][-1])) <= PHASE_BUDGET
 
@@ -86,8 +92,8 @@ def test_mpmath_at_the_documented_limit():
     cases = [(2 ** 52 - int(k), 1.34, 1.0) for k in rng.integers(1, 2 ** 30, 4)]
     cases += [(int(k), 1.9, T_CAP) for k in rng.integers(8 * 10 ** 7, 8.3 * 10 ** 7, 4)]
     for n, c, t in cases:
-        pair = dm.dd_scaled_pow(np.array([n]), c, t)
-        assert abs(float(pair[0][0])) > 2.0 ** 69
+        *pair, peak = dm.dd_scaled_frac(np.array([n]), c, t)
+        assert peak > 2.0 ** 69
         assert mp_gap(n, c, t, (pair[0][0], pair[1][0])) <= 1e-10
 
 
@@ -102,7 +108,8 @@ def test_sqrt_pair_matches_mpmath_and_is_exact_at_squares():
     m = np.concatenate([np.arange(1, 5000), [2 ** 26 - 1, 94906265]]).astype(np.int64)
     hi, lo = dm.dd_sqrt_int(m * m)
     assert np.array_equal(hi, m.astype(np.float64)) and not lo.any()
-    assert np.array_equal(dm.dd_scaled_pow(m * m, 0.5, 3.0)[0], 3.0 * m)
+    fhi, flo, peak = dm.dd_scaled_frac(m * m, 0.5, 3.0)
+    assert not fhi.any() and not flo.any() and peak == 3.0 * float(m.max())
 
 
 @pytest.mark.parametrize("gamma, root", [(0.5, 2), (0.75, 4)])
@@ -139,12 +146,11 @@ def test_exact_powers_stay_certified(gamma, root):
 def test_each_value_depends_only_on_its_own_n(ns, c, t, cut, seed):
     n = np.array(ns, dtype=np.int64)
     cut = min(cut, n.size)
-    whole = dm.dd_scaled_pow(n, c, t)
-    alone = [dm.dd_scaled_pow(n[i:i + 1], c, t) for i in range(n.size)]
+    whole = scaled(n, c, t)
+    alone = [scaled(n[i:i + 1], c, t) for i in range(n.size)]
     perm = np.random.default_rng(seed).permutation(n.size)
-    shuffled = dm.dd_scaled_pow(n[perm], c, t)
-    split = [np.concatenate(parts) for parts in
-             zip(dm.dd_scaled_pow(n[:cut], c, t), dm.dd_scaled_pow(n[cut:], c, t))]
+    shuffled = scaled(n[perm], c, t)
+    split = [np.concatenate(parts) for parts in zip(scaled(n[:cut], c, t), scaled(n[cut:], c, t))]
     for part in (0, 1):
         assert np.array_equal(whole[part], [a[part][0] for a in alone])
         assert np.array_equal(whole[part][perm], shuffled[part])
@@ -153,7 +159,55 @@ def test_each_value_depends_only_on_its_own_n(ns, c, t, cut, seed):
 
 def test_chunking_does_not_change_values(monkeypatch):
     n = np.arange(10 ** 6, 10 ** 6 + 3 * dm._CHUNK + 17, dtype=np.int64)
-    whole = dm.dd_scaled_pow(n, 1.05, 0.5)
+    whole = scaled(n, 1.05, 0.5)
     monkeypatch.setattr(dm, "_CHUNK", 1000)
-    again = dm.dd_scaled_pow(n, 1.05, 0.5)
+    again = scaled(n, 1.05, 0.5)
     assert np.array_equal(whole[0], again[0]) and np.array_equal(whole[1], again[1])
+
+
+def _bytes(out):
+    hi, lo, peak = out
+    return hi.tobytes() + lo.tobytes(), peak
+
+
+@pytest.mark.parametrize("size", [0, 1, dm._CHUNK - 1, dm._CHUNK, dm._CHUNK + 1,
+                                  3 * dm._CHUNK + 5])
+def test_splits_are_byte_equal(size):
+    # any split of n gives the concatenated values and the larger of the peaks
+    rng = np.random.default_rng(size)
+    base = np.sort(rng.integers(1, 2 ** 40, size))
+    for n in (base, rng.permutation(base), np.repeat(base[: size // 3 + 1], 3)[:size]):
+        whole = _bytes(dm.dd_scaled_frac(n, 1.05, 0.5))
+        for cut in {0, 1, size // 2, dm._CHUNK, size}:
+            a, b = dm.dd_scaled_frac(n[:cut], 1.05, 0.5), dm.dd_scaled_frac(n[cut:], 1.05, 0.5)
+            joined = (np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]), max(a[2], b[2]))
+            assert _bytes(joined) == whole
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 0.995, 1.05, 1.45])
+@pytest.mark.parametrize("t, t_max", [(0.5, None), (1.0, None), (-3.0, None), (1.0, 32.0),
+                                      (0.25, 1000.0)])
+def test_table_path_is_the_per_call_path(c, t, t_max):
+    n_max = 3 * 10 ** 6
+    table = dm.anchor_table(n_max, c, t, t_max)
+    if c in (0.5, 1.0, 2.0):
+        assert table is None                             # every n is its own anchor
+    elif t_max is None:
+        assert table is not None and table.n0.size < n_max // 64
+    rng = np.random.default_rng(5)
+    n = np.concatenate([np.arange(1, 600), np.sort(rng.integers(1, n_max + 1, 3 * dm._CHUNK)),
+                        rng.integers(1, n_max + 1, 500), [n_max]]).astype(np.int64)
+    for part in (n, n[:3], n[-700:], n[600:]):
+        want = _bytes(dm.dd_scaled_frac(part, c, t, t_max))
+        assert _bytes(dm.dd_scaled_frac(part, c, t, t_max, table=table)) == want
+
+
+def test_a_table_serves_only_its_own_parameters():
+    table = dm.anchor_table(10 ** 6, 1.05, 0.5)
+    assert table.n0[0] == 1 and table.n0[-1] <= 10 ** 6
+    assert np.all(np.diff(table.n0) > 0)
+    dm.dd_scaled_frac(np.array([10 ** 6]), 1.05, 0.5, table=table)
+    for n, c, t, t_max in [(10 ** 6 + 1, 1.05, 0.5, None), (10 ** 4, 1.06, 0.5, None),
+                           (10, 1.05, 0.25, None), (10, 1.05, 0.5, 2.0)]:
+        with pytest.raises(PreconditionError):
+            dm.dd_scaled_frac(np.array([n]), c, t, t_max, table=table)

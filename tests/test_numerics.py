@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from psexp import sieve
 from psexp.errors import PrecisionError, PreconditionError
 from psexp.numerics import (PHASE_CAP, Parameters, UnitComplex, check_height, e_of,
                             e_of_frac_vec, frac, frac_pair, frac_times, phase_mod1,
@@ -154,6 +155,47 @@ def test_phase_vec_matches_scalar():
 
 def test_phase_vec_empty_input():
     assert phase_mod1_vec(0.5, np.zeros(0, dtype=np.int64), 1.1).size == 0
+
+
+def test_kernel_entry_points_refuse_non_integral_n():
+    # 2.5 used to be truncated to 2 without a word
+    with pytest.raises(PreconditionError):
+        phase_mod1_vec(0.5, np.array([2.5, 2.0]), 1.05)
+    with pytest.raises(PreconditionError):
+        frac_pair(np.array([7.0, 9.75]), 0.9, 4)
+    with pytest.raises(PreconditionError):
+        sieve.ps_floor(np.array([11.5]), 0.9)
+    with pytest.raises(PreconditionError):
+        phase_mod1_vec(0.5, np.array([np.nan]), 1.05)
+    whole = np.array([2.0, 3.0, 1e6])
+    assert phase_mod1_vec(0.5, whole, 1.05).tobytes() == \
+        phase_mod1_vec(0.5, whole.astype(np.int64), 1.05).tobytes()
+
+
+@pytest.mark.parametrize("c", [0.5, 0.9])
+def test_kernel_entry_points_refuse_n_from_two_to_the_53(c):
+    # at c = 1/2, n = 2^54 + 3 gave 1.49e-5 where mpmath gives 1.12e-5
+    for n in (2 ** 53, 2 ** 54 + 3):
+        with pytest.raises(PreconditionError):
+            phase_mod1_vec(1000.0, np.array([n]), c)
+        with pytest.raises(PreconditionError):
+            phase_mod1(1000.0, n, c)
+        with pytest.raises(PreconditionError):
+            frac_pair(np.array([n]), c, 3)
+        with pytest.raises(PreconditionError):
+            sieve.ps_floor(np.array([n]), c)
+    top = 2 ** 53 - 1
+    with mpmath.workdps(40):
+        y = 1000 * mpmath.mpf(top) ** mpmath.mpf(c)
+        err = abs(phase_mod1(1000.0, top, c) - float(y - mpmath.floor(y)))
+    assert min(err, 1.0 - err) <= 1e-9
+
+
+def test_e_of_frac_vec_is_cos_plus_i_sin_bitwise():
+    fr = np.concatenate([[0.0, 0.25, 0.5, 0.75], np.random.default_rng(9).uniform(0, 1, 5000)])
+    ang = (2.0 * math.pi) * fr
+    assert e_of_frac_vec(fr).tobytes() == (np.cos(ang) + 1j * np.sin(ang)).tobytes()
+    assert e_of_frac_vec(np.zeros(0)).dtype == np.complex128
 
 
 def test_e_of_frac_vec_matches_scalar():

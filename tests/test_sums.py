@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from psexp import ddmath as dm
 from psexp import sieve, sums
 from psexp.errors import PreconditionError
 from psexp.numerics import Parameters, e_of, phase_mod1, phase_mod1_vec, psi
@@ -137,7 +138,7 @@ def test_pass_membership_matches_is_ps_prime(gamma):
     # decomposition side's own indicator, prime by prime
     ps = sieve.primes_in_ap(2e4, 1, 0)
     p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
-    (reps,) = sums._checkpointed(p, [ps], ps.astype(float), [sums._decomposition_side(p)])
+    (reps,) = sums._checkpointed(p, [ps], ps.astype(float), [sums._decomposition_side(p, p.x)])
     kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
     assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
     assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
@@ -353,16 +354,48 @@ def test_trend_phases_once(monkeypatch):
     elems = []
     phase = sums.phase_mod1_vec
 
-    def counting(t, n, c):
+    def counting(t, n, c, table=None):
         if c == p.c_float:
             elems.append(np.size(n))
-        return phase(t, n, c)
+        return phase(t, n, c, table=table)
 
     monkeypatch.setattr(sums, "phase_mod1_vec", counting)
     monkeypatch.setattr(sums, "BLOCK", 256)      # checkpoints fall inside slices
     xs = sums.geometric_schedule(1e3, 2e4)
     sums.theorem_trend(p, xs)
     assert sum(elems) == sieve.primes_in_ap(max(xs), p.d, p.a).size
+
+
+def test_trend_powers_anchors_once_per_walk(monkeypatch):
+    # one dd_pow_int call for the (c, t) anchors and one for the (gamma, 1)
+    # anchors, however many slices the walk cuts
+    p = Parameters(x=1e6, c=1.05, gamma=0.995, t=0.5, d=1, a=0)
+    pow_int, calls = dm.dd_pow_int, []
+
+    def counting(n, c):
+        calls.append(c)
+        return pow_int(n, c)
+
+    monkeypatch.setattr(dm, "dd_pow_int", counting)
+    monkeypatch.setattr(sums, "BLOCK", 4096)     # twenty slices
+    sums.theorem_trend(p, sums.geometric_schedule(1e5, 1e6))
+    assert sorted(calls) == [p.gamma_float, p.c_float]
+
+
+def test_rhs_main_builds_no_gamma_table(monkeypatch):
+    p = Parameters(x=1e5, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    built = []
+
+    def recording(n_max, c, t, t_max=None):
+        built.append((c, t))
+        return dm.anchor_table(n_max, c, t, t_max)
+
+    monkeypatch.setattr(sums, "anchor_table", recording)
+    sums.rhs_main(p)
+    assert built == [(p.c_float, p.t)]
+    built.clear()
+    sums.gamma_decomposition(p)
+    assert sorted(built) == [(p.gamma_float, 1.0), (p.c_float, p.t)]
 
 
 def test_geometric_schedule_endpoints():

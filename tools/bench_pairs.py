@@ -7,11 +7,12 @@ each (workload, seed) of PAIRS, pair i runs `perfbench/run.py --workload W
 --seed S --seconds 40 --trace 0` in the parent first when i is even and in
 the change first when i is odd; each run's metrics and value checksum are
 kept under the key "W/seedS".  Seed 1 of the claimed workload is a held-out
-input set, on which the claim must hold too.  Then,
-outside the benchmark, each side runs `psexp theorem --x-schedule S` once
-per schedule of SCALE in a fresh interpreter, which reports its seconds and
-its own ru_maxrss.  The series block gives, per metric, both sides' values,
-their medians, the parent's quartiles and the relative change of the median
+input set, on which the claim must hold too.  Then, outside the benchmark,
+each side runs `psexp theorem --x-schedule S` once per schedule of SCALE in
+a fresh interpreter, which reports its wall seconds, its CPU seconds
+(time.process_time, steadier than wall time on a shared host) and its own
+ru_maxrss.  The series block gives, per metric, both sides' values, their
+medians, the parent's quartiles and the relative change of the median
 against the BENCHMARK.json bound; CLAIM names the metric claimed to improve
 (None when no gain is claimed, and then no claim_check is made).
 """
@@ -29,13 +30,13 @@ import tempfile
 PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 3))
 SECONDS = 40
 SCALE = ("1e5:1e8", "1e5:1e9", "1e5:1e10")
-CLAIM = None
+CLAIM = "trend.wall_s"
 _SCALE_RUN = """
 import resource, sys, time
 from psexp import cli
-t = time.perf_counter()
+t, cpu = time.perf_counter(), time.process_time()
 code = cli.main(["theorem", "--x-schedule", sys.argv[1], "--out", sys.argv[2]])
-print(code, time.perf_counter() - t,
+print(code, time.perf_counter() - t, time.process_time() - cpu,
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -66,9 +67,9 @@ def scale_run(checkout: str, schedule: str) -> dict:
         out = subprocess.run(
             [sys.executable, "-c", _SCALE_RUN, schedule, os.path.join(tmp, "trend.csv")],
             cwd=tmp, env=_env(checkout), capture_output=True, text=True, check=True)
-    code, seconds, rss = out.stdout.strip().splitlines()[-1].split()
+    code, seconds, cpu, rss = out.stdout.strip().splitlines()[-1].split()
     return {"schedule": schedule, "exit": int(code), "seconds": float(seconds),
-            "ru_maxrss_mb": float(rss)}
+            "cpu_seconds": float(cpu), "ru_maxrss_mb": float(rss)}
 
 
 def src_loc(checkout: str) -> int:
