@@ -10,6 +10,7 @@ region are all exact, so a reported mismatch is a finding, never roundoff.
 from fractions import Fraction as F
 
 from psexp import exponents as ex
+from psexp.numerics import Parameters
 
 # the optimization lemma on a toy catalogue: 2H rising, 8/H falling, H in [1, 4]
 terms = ex.TermSet([ex.term(0, h=1, coef=2, label="rise"),
@@ -24,7 +25,8 @@ ok, left, right = ex.region_equivalence()
 print(f"claimed bound < gamma  <=>  19(c-1) + 171(1-gamma) < 9: {ok}")
 print(f"both sides reduce to {left}")
 c, g = F(21, 20), F(199, 200)
-print(f"margin at (c, gamma) = ({c}, {g}): {ex.condition_margin(c, g)}")
+print(f"19(c-1) + 171(1-gamma) < 9 at (c, gamma) = ({c}, {g}): "
+      f"{Parameters(x=1e6, c=c, gamma=g).region_ok}")
 print()
 
 # which catalogue entry dominates at that point, and by how much

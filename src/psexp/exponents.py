@@ -425,12 +425,6 @@ def reference_catalogues():
 CLAIMED_X_EXPONENT = AffineExponent(F(143, 342), F(1, 18), F(1, 2))
 
 
-def condition_margin(c, gamma):
-    """9 - 19(c-1) - 171(1-gamma), positive exactly inside the condition."""
-    c, gamma = _rat(c, "c"), _rat(gamma, "gamma")
-    return 9 - 19 * (c - 1) - 171 * (1 - gamma)
-
-
 def dominates(t1, t2):
     """t1 >= t2 as bounds for H >= 1, x >= 1, on the whole region.
 
@@ -645,11 +639,6 @@ class RegionReport:
                         "witness_point": {"c": str(c), "gamma": str(g)},
                         "labels": list(labels)})
         return out
-
-    def write_findings(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.findings(), fh, indent=2)
-            fh.write("\n")
 
 
 def region_report(grid_step=F(1, 200)):

@@ -54,7 +54,7 @@ def _factorize(n):
     return out
 
 
-def hb_identity_value(n, J=3, z=None):
+def hb_identity_value(n, J, z):
     """Value of the J-fold divisor identity at n; equals Lambda(n) for n <= z^J.
 
     Sum over j <= J of (-1)^(j-1) C(J,j) sum over m_1..m_j <= z with
@@ -70,8 +70,6 @@ def hb_identity_value(n, J=3, z=None):
         raise PreconditionError("precondition: n must be a positive integer")
     if J not in (2, 3):
         raise PreconditionError("precondition: J must be 2 or 3")
-    if z is None:
-        raise PreconditionError("precondition: z is required")
     zf = float(z) * (1.0 + 1e-12)
     if zf ** J < n:
         raise PreconditionError(

@@ -6,20 +6,18 @@ e(t n^c + h n^gamma + k n / d).  The fractional parts come from numerics
 Neumaier-compensated, and ranges are processed in fixed-size blocks combined
 in index order, so repeated runs are bit-identical.
 
-The primes up to the largest x of a schedule are walked once
-(_checkpointed): per slice the walk forms e(t p^c) once and hands it to each
-side it is given, the decomposition side (pi_gamma, Gamma_1, Gamma_2) and
-the main-term side, and it reports every side at every x, bitwise as a walk
-to that x alone would.  theorem_trend sieves once and walks once with both
-sides; gamma_decomposition and rhs_main each walk to one x with their own.
-The walk powers the anchors of t p^c, and the decomposition side those of
-p^gamma, once for its whole range (ddmath.anchor_table); rhs_main's walk has
-no such side and powers no p^gamma anchors.
-The walk streams the blocks of the progression sieve
-(sieve.iter_primes_in_ap), re-cut to exact BLOCK slices with one prime of
-lookahead (_slices), so it holds at most one sieve segment and one slice,
-and no digit depends on the segment size; pi_sum and gamma3_sum stream the
-same slices.
+Every sum over a sieve stream is one fold over that stream.  The primes of
+the progression up to the largest x of a schedule are walked once
+(_checkpointed), as the blocks of sieve.iter_primes_in_ap re-cut to exact
+BLOCK slices (_slices), so the walk holds one sieve segment and one slice
+and no digit depends on the segment size.  Per slice it forms e(t p^c) once
+and hands it to each side it is given: the decomposition side (pi_gamma,
+Gamma_1, Gamma_2), the main-term side, or a _sum_side adding one term per
+prime (pi_sum; gamma3_sum, log p times the psi-weight).  It reports every
+side at every x, bitwise as a walk to that x alone would: theorem_trend
+walks once with the first two sides, and each one-x sum walks with its own
+(_walk).  The anchors of t p^c, and those of p^gamma for a side with
+psi-weights, are powered once per walk (ddmath.anchor_table).
 
 The decomposition side takes every per-prime value of the bracket identity
 
@@ -29,14 +27,14 @@ from one sieve.ps_floor call per block: the indicator, delta = (p+1)^g - p^g
 (the Gamma_1 weight) and {p^g}, {(p+1)^g} (the Gamma_2 weight), all from a
 single power of p.  The identity then holds term by term up to a few
 roundings, which is what makes the decomposition check a meaningful 1e-8
-assertion at a million terms.  Gamma_3 .. Gamma_5 share one psi-weighted
-loop (_psi_sum) whose psi-weights come from the same kernel.
+assertion at a million terms.  Gamma_3 and the Lambda-windows of Gamma_4
+and Gamma_5 (_psi_sum) take their psi-weights from the same kernel.
 
 The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case),
 Gamma_11 (gamma11_sum) and heathbrown.type_sums share one h-loop,
-weighted_h_sums.  Gamma_10 and Gamma_11 sieve their Lambda-window once:
-they take the (n, Lambda(n)) blocks of sieve.lambda_in_ap (also behind
-Gamma_4 and Gamma_5) as the sieve cuts them.
+weighted_h_sums, which reads its window one block at a time: Gamma_10 and
+Gamma_11 stream the (n, Lambda(n)) blocks of sieve.lambda_in_ap (also
+behind Gamma_4 and Gamma_5) as the sieve cuts them, and hold one.
 Per block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with
 anchors sized for the largest |h| = H and the base phase {t n^c} + k n / d
 (twisted_phase) are formed once; each h then costs {h n^gamma} =
@@ -152,14 +150,6 @@ def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> flo
 # pi, and the checkpointed walk over the primes of the progression
 # ---------------------------------------------------------------------------
 
-def pi_sum(params: Parameters) -> SumReport:
-    """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
-    acc = ComplexAccumulator()
-    for blk, _ in _slices(_class_primes(params.x, params)):
-        acc.add_array(e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float)))
-    return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
-
-
 def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
     """For each side, one report per x of the ascending xs, from one walk.
 
@@ -204,6 +194,24 @@ def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
     return reports
 
 
+def _walk(params: Parameters, x: float, side):
+    """The report of one side at x, from a walk over the primes p <= x."""
+    return _checkpointed(params, _class_primes(x, params), [x], [side])[0][0]
+
+
+def _sum_side(term) -> SimpleNamespace:
+    """The walk's side that adds up term(blk, z); it reports the ComplexAccumulator."""
+    return SimpleNamespace(terms=lambda blk, nxt, z: term(blk, z), state=ComplexAccumulator(),
+                           fold=lambda acc, arr, k, x: acc.add_array(arr[:k]),
+                           finish=lambda acc, x: acc)
+
+
+def pi_sum(params: Parameters) -> SumReport:
+    """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
+    acc = _walk(params, params.x, _sum_side(lambda blk, z: z))
+    return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
+
+
 # ---------------------------------------------------------------------------
 # the pi_gamma = Gamma_1 + Gamma_2 decomposition
 # ---------------------------------------------------------------------------
@@ -211,6 +219,12 @@ def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
 def _psi_of_minus(f: np.ndarray) -> np.ndarray:
     """psi(-y) from f = {y}: equals 1/2 - f, except -1/2 at integer y."""
     return np.where(f > 0.0, 0.5 - f, -0.5)
+
+
+def _psi_weight(n: np.ndarray, gamma: float, table=None) -> np.ndarray:
+    """psi(-(n+1)^gamma) - psi(-n^gamma), from one sieve.ps_floor call."""
+    _, f0, f1, _ = sieve.ps_floor(n, gamma, table=table)
+    return _psi_of_minus(f1) - _psi_of_minus(f0)
 
 
 @dataclass
@@ -274,8 +288,7 @@ def _decomposition_side(params: Parameters, x_max: float) -> SimpleNamespace:
 
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
-    return _checkpointed(params, _class_primes(params.x, params), [params.x],
-                         [_decomposition_side(params, params.x)])[0][0]
+    return _walk(params, params.x, _decomposition_side(params, params.x))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +365,7 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
 
 def rhs_main(params: Parameters) -> MainTermPair:
     """The main term at params.x (one checkpoint), by quadrature and closed form."""
-    return _checkpointed(params, _class_primes(params.x, params), [params.x],
-                         [_main_term_side(params)])[0][0]
+    return _walk(params, params.x, _main_term_side(params))
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +488,32 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
 # the Gamma_3 .. Gamma_5 family and the dyadic window sums
 # ---------------------------------------------------------------------------
 
-def _psi_sum(blocks, params: Parameters) -> complex:
-    """sum of weight(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) e(t n^c) over
-    the (n, weight) blocks; the psi-weights are certified near integers."""
-    acc = ComplexAccumulator()
-    for n, weight in blocks:
-        _, f0, f1, _ = sieve.ps_floor(n, params.gamma_float)
-        w = _psi_of_minus(f1) - _psi_of_minus(f0)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
-        acc.add_array(weight * w * z)
-    return acc.value
-
-
 def gamma3_sum(x: float, params: Parameters) -> complex:
-    """log-weighted psi-difference sum over primes <= x in the progression."""
-    return _psi_sum(((blk, np.log(blk.astype(np.float64)))
-                     for blk, _ in _slices(_class_primes(x, params))), params)
+    """log-weighted psi-difference sum over primes <= x in the progression;
+    a side of the walk with its own (gamma, 1) anchors, as the decomposition's."""
+    gf = params.gamma_float
+    table = anchor_table(math.floor(x), gf, 1.0)
+
+    def term(blk, z):
+        return np.log(blk.astype(np.float64)) * _psi_weight(blk, gf, table) * z
+
+    return _walk(params, x, _sum_side(term)).value
+
+
+def _psi_sum(lo: int, hi: int, params: Parameters) -> complex:
+    """sum of Lambda(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) e(t n^c) over
+    lo < n <= hi, n = a (mod d); the psi-weights are certified near integers."""
+    acc = ComplexAccumulator()
+    for n, lam in sieve.lambda_in_ap(lo, hi, params.d, params.a):
+        w = _psi_weight(n, params.gamma_float)
+        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
+        acc.add_array(lam * w * z)
+    return acc.value
 
 
 def gamma4_sum(x: float, params: Parameters) -> complex:
     """Lambda-weighted psi-difference sum over n <= x in the progression."""
-    return _psi_sum(sieve.lambda_in_ap(0, int(math.floor(x)), params.d, params.a), params)
+    return _psi_sum(0, int(math.floor(x)), params)
 
 
 @dataclass
@@ -532,8 +549,7 @@ def gamma5_sum(x: float, params: Parameters) -> complex:
     """
     if x < 4:
         raise PreconditionError(f"gamma5_sum needs x >= 4, got {x}")
-    lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    return _psi_sum(sieve.lambda_in_ap(lo, hi, params.d, params.a), params)
+    return _psi_sum(int(math.floor(x / 2)), int(math.floor(x)), params)
 
 
 @dataclass
@@ -574,26 +590,24 @@ def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
 def weighted_h_sums(window, hs, gamma: float, base=None) -> list:
     """[sum of w(n) e(base(n) + h n^gamma) over the window] for each h of hs.
 
-    window holds (n, w(n)) blocks: the Lambda-blocks of one sieve, or the
-    gathered products of heathbrown.type_sums.  Per block, base(n) (a phase
-    array, or none) and one {n^gamma} pair sized for the largest |h|
+    window yields (n, w(n)) blocks: the Lambda-blocks of one sieve, or the
+    gathered products of heathbrown.type_sums.  It is read once, one block at
+    a time, with one accumulator per h.  Per block, base(n) (a phase array,
+    or none) and one {n^gamma} pair sized for the largest |h|
     (numerics.frac_pair) are formed once; each h then costs one frac_times,
-    so no h re-powers n and no h re-sieves.
+    so no h re-powers n and no h re-sieves.  Each h adds the blocks in order.
     """
     height = max((abs(h) for h in hs), default=0)
-    blocks = [(w, None if base is None else base(n),
-               frac_pair(n, gamma, height) if height else None)
-              for n, w in window]
-    out = []
-    for h in hs:
-        acc = ComplexAccumulator()
-        for w, b, pair in blocks:
+    accs = [ComplexAccumulator() for _ in hs]
+    for n, w in window:
+        b = None if base is None else base(n)
+        pair = frac_pair(n, gamma, height) if height else None
+        for h, acc in zip(hs, accs):
             fr = frac_times(pair, h) if h else 0.0
             if b is not None:
                 fr = np.mod(b + fr, 1.0)
             acc.add(weighted_e_sum(w, fr), w.size)
-        out.append(acc.value)
-    return out
+    return [acc.value for acc in accs]
 
 
 def twisted_phase(n: np.ndarray, params: Parameters, k: int) -> np.ndarray:
@@ -615,8 +629,8 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
     if H == 0:
         return 0.0
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    window = list(sieve.lambda_in_ap(lo, hi, params.d, params.a))
-    inner = weighted_h_sums(window, range(1, H + 1), params.gamma_float)
+    inner = weighted_h_sums(sieve.lambda_in_ap(lo, hi, params.d, params.a),
+                            range(1, H + 1), params.gamma_float)
     return 2.0 * float(sum(abs(v) for v in inner))
 
 
@@ -629,7 +643,7 @@ def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
     lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
     if hi <= lo:
         return [0j] * len(hs)
-    return weighted_h_sums(list(sieve.lambda_in_ap(lo, hi, 1, 0)), hs, params.gamma_float,
+    return weighted_h_sums(sieve.lambda_in_ap(lo, hi, 1, 0), hs, params.gamma_float,
                            lambda n: twisted_phase(n, params, int(k)))
 
 

@@ -8,14 +8,14 @@ For a real phase f on an interval (a, b] the classical bounds read
 valid when |f''| (resp. |f'''|) is comparable to lam throughout.  compare()
 samples the derivative at 1000 points of the interval, takes lam as the
 geometric mean of the sampled bracket, and reports the empirical-to-bound
-ratio with C = 1; a ratio at most RATIO_CEILING = 10 across standard_sweep is
+ratio with C = _C = 1; a ratio at most RATIO_CEILING = 10 across standard_sweep is
 the desk-scale sanity that the formulas are transcribed right.
 
 square_out_check verifies the unconditional inequality
 
     |sum_{n in I} z_n|^2 <= (1 + X/Q) sum_{|q|<Q} (1-|q|/Q) sum_n z_{n+q} conj(z_n)
 
-(X = |I| by default; the exact Cauchy-Schwarz factor is (|I|+Q-1)/Q, so the
+(X = |I|; the exact Cauchy-Schwarz factor is (|I|+Q-1)/Q, so the
 stated factor is slightly generous and the inequality holds for every complex
 sequence, which makes it a sharp self-test of the correlation bookkeeping).
 square_out_trials runs it on 250 random unit-modulus sequences at four shift
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-_C_DEFAULT = 1.0
+_C = 1.0                    # the derivative tests' constant
 _BRACKET_SAMPLES = 1000     # sample points of a derivative bracket
 RATIO_CEILING = 10.0        # largest empirical/bound ratio standard_sweep accepts
 
@@ -76,22 +76,22 @@ class BoundReport:
     label: str = ""
 
 
-def second_derivative_bound(length: float, lam: float, C: float = _C_DEFAULT) -> float:
+def second_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) sqrt(lam) + 1/sqrt(lam)); needs lam > 0."""
     if not (lam > 0 and math.isfinite(lam)):
         raise PreconditionError(f"second-derivative test needs lam > 0, got {lam}")
     if length < 0:
         raise PreconditionError(f"interval length must be >= 0, got {length}")
-    return C * (length * math.sqrt(lam) + 1.0 / math.sqrt(lam))
+    return _C * (length * math.sqrt(lam) + 1.0 / math.sqrt(lam))
 
 
-def third_derivative_bound(length: float, lam: float, C: float = _C_DEFAULT) -> float:
+def third_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) lam^(1/6) + lam^(-1/3)); needs lam > 0."""
     if not (lam > 0 and math.isfinite(lam)):
         raise PreconditionError(f"third-derivative test needs lam > 0, got {lam}")
     if length < 0:
         raise PreconditionError(f"interval length must be >= 0, got {length}")
-    return C * (length * lam ** (1.0 / 6.0) + lam ** (-1.0 / 3.0))
+    return _C * (length * lam ** (1.0 / 6.0) + lam ** (-1.0 / 3.0))
 
 
 def empirical_sum(pf: PhaseFunction) -> float:
@@ -126,8 +126,7 @@ def compare(pf: PhaseFunction, kind: str = "second") -> BoundReport:
     return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, (lo, hi), pf.label)
 
 
-def square_out_check(z: np.ndarray, Q: int, X: float | None = None,
-                     rel_tol: float = 1e-6):
+def square_out_check(z: np.ndarray, Q: int, rel_tol: float = 1e-6):
     """Check the shift inequality for one sequence and shift cap Q.
 
     Returns (lhs, rhs, ok, imag_residual): lhs = |sum z|^2, rhs the weighted
@@ -141,9 +140,6 @@ def square_out_check(z: np.ndarray, Q: int, X: float | None = None,
         return 0.0, 0.0, True, 0.0
     if not (isinstance(Q, (int, np.integer)) and 1 <= Q):
         raise PreconditionError(f"need integer Q >= 1, got {Q!r}")
-    X = float(N) if X is None else float(X)
-    if X <= 0:
-        raise PreconditionError(f"need X > 0, got {X}")
 
     lhs = abs(z.sum()) ** 2
     # full autocorrelation: corr[N-1+q] = sum_n z[n+q] conj(z[n])
@@ -151,7 +147,7 @@ def square_out_check(z: np.ndarray, Q: int, X: float | None = None,
     qs = np.arange(-(N - 1), N)
     w = np.clip(1.0 - np.abs(qs) / Q, 0.0, None)
     acc = complex((w * corr).sum())
-    rhs = (1.0 + X / Q) * acc.real
+    rhs = (1.0 + N / Q) * acc.real
     ok = lhs <= rhs * (1.0 + rel_tol) + 1e-12
     return float(lhs), float(rhs), bool(ok), abs(acc.imag)
 

@@ -177,11 +177,6 @@ def test_pre_optimization_list_covers_both_sources():
 # ---------------------------------------------------------------------------
 # region predicates
 
-def test_condition_margin_is_exact():
-    assert ex.condition_margin(F(21, 20), F(199, 200)) == F(1439, 200)
-    assert ex.condition_margin(F(22, 19), F(55, 57)) == 0
-
-
 def test_dominates_on_simple_pairs():
     hi = ex.term(1)
     lo = ex.term(0)
@@ -198,6 +193,21 @@ def test_dominant_exponent_interior_point():
     assert labels == ("T26",)
     assert value == ex.CLAIMED_X_EXPONENT.at(c, g)
     assert value < g
+
+
+def test_region_report_dominant_matches_the_fraction_oracle():
+    # dominant_exponent is the independent Fraction route to what
+    # region_report finds by integer scaling: same value, same labels, on
+    # the whole 1/20 grid and on the 1/200 line gamma = 33/50, where T12 and
+    # T33 tie for the maximum
+    final = ex.reference_catalogues()["gamma5_final"]
+    rows = ex.region_report(F(1, 20)).rows
+    assert len(rows) == 9 * 19
+    tied = [r for r in ex.region_report(F(1, 200)).rows if r.gamma == F(33, 50)]
+    assert len(tied) == 94 and all(r.dominant_labels == ("T12", "T33") for r in tied)
+    for r in rows + tied:
+        assert (r.dominant_value, r.dominant_labels) == ex.dominant_exponent(
+            final, r.c, r.gamma), (r.c, r.gamma)
 
 
 def test_dominant_exponent_validates_input():

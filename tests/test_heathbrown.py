@@ -48,8 +48,6 @@ def test_identity_rejects_bad_arguments():
     with pytest.raises(PreconditionError):
         hb.hb_identity_value(10, 4, 2.0)
     with pytest.raises(PreconditionError):
-        hb.hb_identity_value(10, 3, None)
-    with pytest.raises(PreconditionError):
         hb.hb_identity_value(100, 3, 2.0)    # 2^3 < 100
 
 

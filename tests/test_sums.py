@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from psexp import ddmath as dm
-from psexp import sieve, sums
+from psexp import numerics, sieve, sums
 from psexp.errors import PreconditionError
-from psexp.numerics import Parameters, e_of, phase_mod1, phase_mod1_vec, psi
+from psexp.numerics import (Parameters, e_of, e_of_frac_vec, phase_mod1,
+                            phase_mod1_vec, psi)
 
 from conftest import as_complex
 
@@ -382,6 +383,84 @@ def test_trend_powers_anchors_once_per_walk(monkeypatch):
     assert sorted(calls) == [p.gamma_float, p.c_float]
 
 
+def _slice_by_slice(p, x, term):
+    """A plain loop over the class primes <= x in BLOCK slices, one
+    accumulator, no anchor table: the sums before they became sides."""
+    acc = sums.ComplexAccumulator()
+    ps = sieve.primes_in_ap(x, p.d, p.a)
+    for i in range(0, ps.size, sums.BLOCK):
+        acc.add_array(term(ps[i:i + sums.BLOCK]))
+    return acc
+
+
+def _pi_term(p):
+    return lambda blk: e_of_frac_vec(phase_mod1_vec(p.t, blk, p.c_float))
+
+
+def _gamma3_term(p):
+    def term(blk):
+        _, f0, f1, _ = sieve.ps_floor(blk, p.gamma_float)
+        w = np.where(f1 > 0.0, 0.5 - f1, -0.5) - np.where(f0 > 0.0, 0.5 - f0, -0.5)
+        return np.log(blk.astype(np.float64)) * w * _pi_term(p)(blk)
+    return term
+
+
+@pytest.mark.parametrize("c, g, t, d, a", [(1.05, 0.995, 0.5, 3, 1), (1.2, 0.9, -2.0, 1, 0),
+                                           (1.1, 0.5, 0.25, 4, 3), (1.0, 1.0, 0.5, 3, 2)])
+def test_walked_sums_are_bitwise_slice_by_slice(monkeypatch, c, g, t, d, a):
+    # pi_sum and gamma3_sum as sides of the walk, against the plain slice
+    # loop, at x on, next to and between slice edges and past the last prime
+    monkeypatch.setattr(sums, "BLOCK", 512)
+    p = Parameters(x=3e4, c=c, gamma=g, t=t, d=d, a=a)
+    ps = sieve.primes_in_ap(p.x, d, a)
+    for x in (float(ps[511]), float(ps[512]), float(ps[1023]) + 0.5, 777.0, 3e4):
+        px = replace(p, x=x)
+        rep = sums.pi_sum(px)
+        want = _slice_by_slice(px, x, _pi_term(px))
+        assert (rep.value, rep.n_terms) == (want.value, want.count), x
+        assert sums.gamma3_sum(x, px) == _slice_by_slice(px, x, _gamma3_term(px)).value, x
+
+
+def test_walked_sums_power_anchors_once(monkeypatch):
+    # past one slice, pi_sum powers only the (c, t) anchors and gamma3_sum
+    # those and the (gamma, 1) anchors, each in one dd_pow_int call
+    p = Parameters(x=1e6, c=1.05, gamma=0.995, t=0.5, d=1, a=0)
+    pow_int, calls = dm.dd_pow_int, []
+
+    def counting(n, c):
+        calls.append(c)
+        return pow_int(n, c)
+
+    monkeypatch.setattr(dm, "dd_pow_int", counting)
+    monkeypatch.setattr(sums, "BLOCK", 4096)     # twenty slices
+    sums.pi_sum(p)
+    assert calls == [p.c_float]
+    calls.clear()
+    sums.gamma3_sum(p.x, p)
+    assert sorted(calls) == [p.gamma_float, p.c_float]
+
+
+def test_window_sums_hold_one_block(monkeypatch):
+    # Gamma_11 over a Lambda-window of ~200 sieve segments reads it one block
+    # at a time: the traced peak stays well below the window's own bytes
+    # (a list of the window peaks at about three times them)
+    import tracemalloc
+
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 1024)
+    p = Parameters(x=4e5, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    blocks = list(sieve.lambda_in_ap(int(p.x // 2), int(p.x), p.d, p.a))
+    assert len(blocks) > 150
+    window = sum(n.nbytes + lam.nbytes for n, lam in blocks)
+    del blocks
+    tracemalloc.start()
+    try:
+        sums.gamma11_sum(p.x, 2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < window / 2, (peak, window)
+
+
 def test_rhs_main_builds_no_gamma_table(monkeypatch):
     p = Parameters(x=1e5, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     built = []
@@ -555,6 +634,29 @@ def test_gamma10_is_the_sum_of_moduli():
         parts += abs(sums.weighted_lambda_expsum(600.0, h, p, k))
         parts += abs(sums.weighted_lambda_expsum(600.0, -h, p, k))
     assert total == pytest.approx(parts, abs=1e-12)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_h_sums_are_bitwise_the_h_outer_loop(monkeypatch, twisted):
+    # blocks outside and h inside: each h still adds the same block sums in
+    # the same order as a loop over h of loops over the held window
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 700)
+    p = Parameters(x=2e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    base = (lambda n: sums.twisted_phase(n, p, 2)) if twisted else None
+    hs = [0, 3, -3, 1, 7, -5]
+    window = list(sieve.lambda_in_ap(10_000, 20_000, p.d, p.a))
+    assert len(window) > 10
+    want = []
+    for h in hs:
+        acc = sums.ComplexAccumulator()
+        for n, w in window:
+            fr = numerics.frac_times(numerics.frac_pair(n, p.gamma_float, 7), h) if h else 0.0
+            if base is not None:
+                fr = np.mod(base(n) + fr, 1.0)
+            acc.add(numerics.weighted_e_sum(w, fr), w.size)
+        want.append(acc.value)
+    got = sums.weighted_h_sums(iter(window), hs, p.gamma_float, base)
+    assert got == want
 
 
 def count_sieves(monkeypatch):
