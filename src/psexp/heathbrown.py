@@ -8,11 +8,9 @@ Type I / Type II split, classify_box applies the split to a dyadic box, and
 type_sums evaluates the resulting bilinear sums directly at desk
 scale.  Identities about exponents are checked in exact rationals; sums are
 double precision on top of the pair-arithmetic phase path.  type_sums
-gathers the (m, l) pairs of its window once and runs its h-loop through
-sums.weighted_h_sums, the one Gamma_10 and Gamma_11 use: {h (ml)^gamma} for
-every 1 <= |h| <= H comes from one pair numerics.frac_pair(ml, gamma, H) by
-numerics.frac_times, one multiply and one floor per h, with error |h| times
-the pair's error plus |h| 2^-53 (1.7e-13 measured for |h| <= 10^3).
+gathers the (m, l) pairs of its window into one block and takes its h-sums
+from sums.weighted_h_sums, which the h-side of Gamma_10 and Gamma_11 folds
+unit by unit: {h (ml)^gamma} for every 1 <= |h| <= H from one frac_pair.
 """
 
 from __future__ import annotations
@@ -277,11 +275,10 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
 
     Sum over 1 <= |h| <= H of |sum_m a(m) sum_l w(l) e(t(ml)^c + h(ml)^g
     + k ml / d)| with w(l) = 1 for 'SI', log l for 'SIprime', b(l) for 'SII'.
+    Every argument is checked before the H = 0 and empty-window shortcuts.
     The (m, l) pairs with n = ml in the window are gathered once, with
-    weights a(m) w(l), and handed as one block to sums.weighted_h_sums with
-    the base phase sums.twisted_phase: {t n^c} + (k n mod d) / d once at the
-    gathered n, and {h n^g} from one frac_pair sized for H, one frac_times
-    per h, in the h order of sums.gamma10_sum.
+    weights a(m) w(l), into one block for sums.weighted_h_sums with the base
+    phase sums.twisted_phase, in the h order of sums.gamma10_sum.
     """
     if variant not in ("SI", "SIprime", "SII"):
         raise PreconditionError(f"precondition: unknown variant {variant!r}")
@@ -290,20 +287,10 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
         raise ScaleError(
             f"scale: box {box.M1} x {box.L1} exceeds the direct cap {ML_CAP:g}"
         )
-    if H == 0:
-        return 0.0
     x = float(params.x)
     x1 = x if x1 is None else float(x1)
     if not x / 2 <= x1 <= x:
         raise PreconditionError("precondition: need x/2 <= x1 <= x")
-    k = int(k)
-    n_lo = math.floor(x / 2)          # exclusive
-    n_hi = math.floor(x1)             # inclusive
-    n_lo = max(n_lo, (box.M + 1) * (box.L + 1) - 1)
-    n_hi = min(n_hi, box.M1 * box.L1)
-    if n_hi <= n_lo:
-        return 0.0
-
     ms = np.arange(box.M + 1, box.M1 + 1, dtype=np.int64)
     if a_coeffs is None:
         a_coeffs = np.ones(len(ms))
@@ -319,6 +306,10 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
         w_l = np.log(ls_all.astype(float))
     else:
         w_l = np.ones(len(ls_all))
+    n_lo = max(math.floor(x / 2), (box.M + 1) * (box.L + 1) - 1)     # exclusive
+    n_hi = min(math.floor(x1), box.M1 * box.L1)                     # inclusive
+    if H == 0 or n_hi <= n_lo:
+        return 0.0
 
     # per m, the l-range whose products fall in the n-window, flattened
     l_lo = np.maximum(box.L + 1, n_lo // ms + 1)
@@ -329,6 +320,6 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
     weight = a_coeffs[row] * w_l[ls - box.L - 1]
 
     hs = [s * h for h in range(1, H + 1) for s in (1, -1)]
-    inner = sums.weighted_h_sums([(ns, weight)], hs, params.gamma_float,
-                                 lambda n: sums.twisted_phase(n, params, k))
+    inner = sums.weighted_h_sums(ns, weight, hs, params.gamma_float,
+                                 sums.twisted_phase(ns, params, int(k)))
     return float(sum(abs(v) for v in inner))

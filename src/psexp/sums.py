@@ -3,46 +3,42 @@
 Everything here is a finite complex sum over primes or integers with phases
 e(t n^c + h n^gamma + k n / d).  The fractional parts come from numerics
 (anchored pair arithmetic, within PHASE_BUDGET per term), accumulation is
-Neumaier-compensated, and ranges are processed in fixed-size blocks combined
-in index order, so repeated runs are bit-identical.
+Neumaier-compensated, and ranges are folded in fixed units combined in index
+order, so repeated runs are bit-identical.
 
-Every sum over a sieve stream is one fold over that stream.  The primes of
-the progression up to the largest x of a schedule are walked once
-(_checkpointed), as the blocks of sieve.iter_primes_in_ap re-cut to exact
-BLOCK slices (_slices), so the walk holds one sieve segment and one slice
-and no digit depends on the segment size.  Per slice it forms e(t p^c) once
-and hands it to each side it is given: the decomposition side (pi_gamma,
-Gamma_1, Gamma_2), the main-term side, or a _sum_side adding one term per
-prime (pi_sum; gamma3_sum, log p times the psi-weight).  It reports every
-side at every x, bitwise as a walk to that x alone would: theorem_trend
-walks once with the first two sides, and each one-x sum walks with its own
-(_walk).  The anchors of t p^c, and those of p^gamma for a side with
-psi-weights, are powered once per walk (ddmath.anchor_table).
+Every sum over a sieve stream is one walk of one engine, _checkpointed, over
+one of two streams: the primes p = a (mod d) of sieve.iter_primes_in_ap
+re-cut to slices of BLOCK primes (_slices), or the (n, Lambda(n)) blocks of
+sieve.lambda_in_ap re-cut to units of FOLD integers from the window's lo
+(_fold_units).  BLOCK and FOLD are the rounding units, so no digit depends
+on the sieve's segment, and a walk holds one sieve segment and one slice.
+Per slice the walk forms its phase once (e(t p^c) from the (c, t) anchors
+powered once per walk, ddmath.anchor_table; e(t n^c) on a window; the
+twisted {t n^c} + k n / d of Gamma_10) and hands it to each of its sides,
+reporting every side at every checkpoint x bitwise as a walk to that x
+alone would.  The prime walk's sides are the decomposition (pi_gamma,
+Gamma_1, Gamma_2), the main term and a _sum_side of one term per prime
+(pi_sum); theorem_trend walks once with the first two.  The psi-side adds
+w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z: Gamma_3 with w = log p, and the
+Lambda-windows of Gamma_4 and Gamma_5 with w = Lambda(n).  The h-side (one
+accumulator per h) gives Gamma_10 (gamma10_sum, weighted_lambda_expsum its
+one-h case) and Gamma_11 (gamma11_sum); heathbrown.type_sums takes the
+h-sums of its one gathered block from the same weighted_h_sums.
 
 The decomposition side takes every per-prime value of the bracket identity
 
     [-p^g] - [-(p+1)^g] = ((p+1)^g - p^g) + (psi(-(p+1)^g) - psi(-p^g))
 
-from one sieve.ps_floor call per block: the indicator, delta = (p+1)^g - p^g
+from one sieve.ps_floor call per slice: the indicator, delta = (p+1)^g - p^g
 (the Gamma_1 weight) and {p^g}, {(p+1)^g} (the Gamma_2 weight), all from a
 single power of p.  The identity then holds term by term up to a few
 roundings, which is what makes the decomposition check a meaningful 1e-8
-assertion at a million terms.  Gamma_3 and the Lambda-windows of Gamma_4
-and Gamma_5 (_psi_sum) take their psi-weights from the same kernel.
+assertion at a million terms.  The psi-weights come from the same kernel.
 
-The h-sums Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case),
-Gamma_11 (gamma11_sum) and heathbrown.type_sums share one h-loop,
-weighted_h_sums, which reads its window one block at a time: Gamma_10 and
-Gamma_11 stream the (n, Lambda(n)) blocks of sieve.lambda_in_ap (also
-behind Gamma_4 and Gamma_5) as the sieve cuts them, and hold one.
-Per block, one pair {n^gamma} = numerics.frac_pair(n, gamma, H) with
-anchors sized for the largest |h| = H and the base phase {t n^c} + k n / d
-(twisted_phase) are formed once; each h then costs {h n^gamma} =
-numerics.frac_times(pair, h), one multiply and one floor, instead of a
-power per h.  Its error is |h| times the pair's error
-plus |h| 2^-53, within what a direct phase_mod1_vec(h, n, gamma) spends
-and within PHASE_BUDGET (measured against 40-digit mpmath for |h| <= 10^3:
-1.7e-13).
+Per unit, weighted_h_sums forms one pair {n^gamma} = numerics.frac_pair(n,
+gamma, H) sized for the largest |h| = H; each h then costs one frac_times
+instead of a power: error |h| times the pair's plus |h| 2^-53, within
+PHASE_BUDGET (1.7e-13 against 40-digit mpmath for |h| <= 10^3).
 """
 
 from __future__ import annotations
@@ -62,6 +58,7 @@ from .numerics import (PHASE_BUDGET, Parameters, check_height, e_of_frac_vec,
                        frac_pair, frac_times, phase_mod1_vec, weighted_e_sum)
 
 BLOCK = 1 << 16
+FOLD = 1 << 22
 
 
 class ComplexAccumulator:
@@ -119,96 +116,127 @@ class SumReport:
         return abs(self.value) <= self.weight_bound + self.phase_error_bound + 1e-9
 
 
-def _class_primes(x: float, params: Parameters):
-    """Ascending blocks of the primes p <= x, p = a (mod d), one per sieve segment."""
-    return sieve.iter_primes_in_ap(0, int(math.floor(x)), params.d, params.a)
-
-
-def _slices(blocks):
-    """(blk, nxt) over the ascending prime blocks, re-cut to exact BLOCK slices.
-
-    nxt[i] is the prime after blk[i]; one prime of lookahead is held, so the
-    last one is missing only at the very end.  At most one sieve block and
-    one slice are held at a time.
-    """
-    buf = np.zeros(0, dtype=np.int64)
-    for b in blocks:
-        buf = np.concatenate([buf, b]) if buf.size else b
-        while buf.size > BLOCK:
-            yield buf[:BLOCK], buf[1:BLOCK + 1]
-            buf = buf[BLOCK:]
-    if buf.size:
-        yield buf, buf[1:]
-
-
 def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> float:
     # |e(y+eps) - e(y)| <= 2 pi |eps|, one budget per phase evaluation
     return 2.0 * math.pi * PHASE_BUDGET * phases_per_term * max(weight_bound, float(n_terms))
 
 
 # ---------------------------------------------------------------------------
-# pi, and the checkpointed walk over the primes of the progression
+# the one walk engine, its two streams, and pi
 # ---------------------------------------------------------------------------
 
-def _checkpointed(params: Parameters, blocks, xs, sides) -> list:
+def _class_primes(x: float, params: Parameters):
+    """Ascending blocks of the primes p <= x, p = a (mod d), one per sieve segment."""
+    return sieve.iter_primes_in_ap(0, int(math.floor(x)), params.d, params.a)
+
+
+def _slices(blocks):
+    """((blk,), nxt, end) over the ascending prime blocks, re-cut to exact BLOCK slices.
+
+    nxt[i] is the prime after blk[i] and end the prime after the slice; one
+    prime of lookahead is held, so they are missing (end = inf) only at the
+    very end.  At most one sieve block and one slice are held at a time.
+    """
+    buf = np.zeros(0, dtype=np.int64)
+    for b in blocks:
+        buf = np.concatenate([buf, b]) if buf.size else b
+        while buf.size > BLOCK:
+            yield (buf[:BLOCK],), buf[1:BLOCK + 1], buf[BLOCK]
+            buf = buf[BLOCK:]
+    if buf.size:
+        yield (buf,), buf[1:], math.inf
+
+
+def _fold_units(lo: int, hi: int, d: int, a: int):
+    """((n, Lambda(n)), None, top) over (lo, hi], n = a (mod d), in fold units.
+
+    The blocks of sieve.lambda_in_ap are re-cut at lo + j FOLD, so unit j is
+    (lo + j FOLD, top], top = min(lo + (j+1) FOLD, hi), whatever the sieve's
+    segment S.  Sieve block j covers (lo + j S, lo + (j+1) S], so a unit is
+    yielded once the block that reaches its top is read; a unit that is
+    exactly one block is that block, uncopied.
+    """
+    seg, held, top = sieve.DEFAULT_SEGMENT, [], min(lo + FOLD, hi)
+    for j, (n, lam) in enumerate(sieve.lambda_in_ap(lo, hi, d, a)):
+        while top <= min(lo + (j + 1) * seg, hi):      # this block reaches the top
+            i = int(np.searchsorted(n, top, side="right"))
+            held.append((n[:i], lam[:i]))
+            yield (held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held))),
+                   None, top)
+            held, n, lam = [], n[i:], lam[i:]
+            top = hi + 1 if top == hi else min(top + FOLD, hi)
+        if n.size:
+            held.append((n, lam))
+
+
+def _checkpointed(slices, xs, sides, phase) -> list:
     """For each side, one report per x of the ascending xs, from one walk.
 
-    blocks streams the primes p <= max(xs), p = a (mod d), in ascending
-    int64 blocks (_class_primes).  They are walked in exact BLOCK slices
-    (_slices), and each slice's z = e(t p^c) is formed once and handed to
-    every side; a slice lies past x when the prime after it is <= x, which
-    only a full slice can tell.  A side is a namespace of terms, fold,
-    state and finish.  terms(blk, nxt, z) evaluates one slice per element
-    (nxt[i] is the prime after blk[i]; the last one is missing at the very
-    end).  fold(state, arrays, k, x) adds the first k elements to the state;
-    x is None for a whole slice, or the checkpoint when the slice holds the
-    last prime <= x.  Each checkpoint folds its slice into a copy of every
-    state, so its report is bitwise the one a walk to that x alone gives.
-    The anchors of t p^c are powered once for the walk (ddmath.anchor_table
-    up to max(xs)), which moves no digit.
+    slices streams ascending (cols, nxt, end): the primes (blk,) of _slices,
+    with nxt the prime after each one, or the (n, Lambda(n)) units of
+    _fold_units; end is the first n after the slice, so the slice lies past
+    x when end <= x.  Each slice's phase(cols[0]) is formed once and handed
+    to every side.  A side is a namespace of terms, fold, state and finish.
+    terms(cols, nxt, z) evaluates one slice per element; fold(state, arrays,
+    k, x) adds the first k elements to the state, x is None for a whole
+    slice, or the checkpoint when the slice holds the last n <= x.  Each
+    checkpoint folds its slice into a copy of every state, so its report is
+    bitwise the one a walk to that x alone gives.
     """
-    table = anchor_table(math.floor(max(xs, default=0.0)), params.c_float, params.t)
+    def slice_terms(cols, nxt):
+        z = phase(cols[0])
+        return [side.terms(cols, nxt, z) for side in sides]
 
-    def slice_terms(blk, nxt):
-        z = e_of_frac_vec(phase_mod1_vec(params.t, blk, params.c_float, table=table))
-        return [side.terms(blk, nxt, z) for side in sides]
-
-    empty = np.zeros(0, dtype=np.int64)
-    slices = _slices(blocks)
-    blk, nxt = next(slices, (empty, empty))
+    stop = ((np.zeros(0, dtype=np.int64),), None, math.inf)
+    cols, nxt, end = next(slices, stop)
     reports = [[] for _ in sides]
     arrays = None
     for x in xs:
-        while nxt.size == BLOCK and nxt[-1] <= x:    # x lies past this slice
-            for side, arr in zip(sides, arrays or slice_terms(blk, nxt)):
-                side.fold(side.state, arr, BLOCK, None)
-            (blk, nxt), arrays = next(slices, (empty, empty)), None
+        while end <= x:                             # x lies past this slice
+            for side, arr in zip(sides, arrays or slice_terms(cols, nxt)):
+                side.fold(side.state, arr, cols[0].size, None)
+            arr = None                              # freed before the next unit is sieved
+            (cols, nxt, end), arrays = next(slices, stop), None
         snaps = copy.deepcopy([side.state for side in sides])
-        end = int(np.searchsorted(blk, x, side="right"))
-        if end:
-            arrays = arrays or slice_terms(blk, nxt)
+        k = int(np.searchsorted(cols[0], x, side="right"))
+        if k:
+            arrays = arrays or slice_terms(cols, nxt)
             for side, snap, arr in zip(sides, snaps, arrays):
-                side.fold(snap, arr, end, x)
+                side.fold(snap, arr, k, x)
         for side, snap, out in zip(sides, snaps, reports):
             out.append(side.finish(snap, x))
     return reports
 
 
+def _prime_walk(params: Parameters, blocks, xs, sides) -> list:
+    """_checkpointed over blocks, the primes p <= max(xs), p = a (mod d)
+    (_class_primes), with the phase e(t p^c) from the (c, t) anchors powered
+    once for the walk (ddmath.anchor_table up to max(xs)): no digit moves."""
+    table = anchor_table(math.floor(max(xs, default=0.0)), params.c_float, params.t)
+    return _checkpointed(_slices(blocks), xs, sides, lambda blk: e_of_frac_vec(
+        phase_mod1_vec(params.t, blk, params.c_float, table=table)))
+
+
 def _walk(params: Parameters, x: float, side):
     """The report of one side at x, from a walk over the primes p <= x."""
-    return _checkpointed(params, _class_primes(x, params), [x], [side])[0][0]
+    return _prime_walk(params, _class_primes(x, params), [x], [side])[0][0]
+
+
+def _window(lo: int, hi: int, d: int, a: int, side, phase):
+    """The report of one side over the window (lo, hi], n = a (mod d), Lambda(n) != 0."""
+    return _checkpointed(_fold_units(lo, hi, d, a), [hi], [side], phase)[0][0]
 
 
 def _sum_side(term) -> SimpleNamespace:
-    """The walk's side that adds up term(blk, z); it reports the ComplexAccumulator."""
-    return SimpleNamespace(terms=lambda blk, nxt, z: term(blk, z), state=ComplexAccumulator(),
+    """The walk's side that adds up term(cols, z); it reports the ComplexAccumulator."""
+    return SimpleNamespace(terms=lambda cols, nxt, z: term(cols, z), state=ComplexAccumulator(),
                            fold=lambda acc, arr, k, x: acc.add_array(arr[:k]),
                            finish=lambda acc, x: acc)
 
 
 def pi_sum(params: Parameters) -> SumReport:
     """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
-    acc = _walk(params, params.x, _sum_side(lambda blk, z: z))
+    acc = _walk(params, params.x, _sum_side(lambda cols, z: z))
     return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
 
 
@@ -221,10 +249,18 @@ def _psi_of_minus(f: np.ndarray) -> np.ndarray:
     return np.where(f > 0.0, 0.5 - f, -0.5)
 
 
-def _psi_weight(n: np.ndarray, gamma: float, table=None) -> np.ndarray:
-    """psi(-(n+1)^gamma) - psi(-n^gamma), from one sieve.ps_floor call."""
-    _, f0, f1, _ = sieve.ps_floor(n, gamma, table=table)
-    return _psi_of_minus(f1) - _psi_of_minus(f0)
+def _psi_side(gamma: float, table) -> SimpleNamespace:
+    """The walk's side adding w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z per n,
+    the psi-weights from one sieve.ps_floor call (table: a (gamma, 1)
+    anchor_table, or None); w = Lambda(n) on the (n, Lambda) units of a
+    window, log p on the primes (p,) of the walk."""
+    def term(cols, z):
+        n = cols[0]
+        w = cols[1] if len(cols) > 1 else np.log(n.astype(np.float64))
+        _, f0, f1, _ = sieve.ps_floor(n, gamma, table=table)
+        return w * (_psi_of_minus(f1) - _psi_of_minus(f0)) * z
+
+    return _sum_side(term)
 
 
 @dataclass
@@ -262,8 +298,8 @@ def _decomposition_side(params: Parameters, x_max: float) -> SimpleNamespace:
     gf = params.gamma_float
     table = anchor_table(math.floor(x_max), gf, 1.0)
 
-    def terms(blk, nxt, z):
-        member, f0, f1, delta = sieve.ps_floor(blk, gf, table=table)
+    def terms(cols, nxt, z):
+        member, f0, f1, delta = sieve.ps_floor(cols[0], gf, table=table)
         w2 = _psi_of_minus(f1) - _psi_of_minus(f0)
         return z, delta, w2, member
 
@@ -334,7 +370,8 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
     """
     gf = params.gamma_float
 
-    def terms(blk, nxt, z):
+    def terms(cols, nxt, z):
+        blk = cols[0]
         lo = blk.astype(np.float64)
         hi = np.concatenate([nxt, blk[nxt.size:]]).astype(np.float64)
         return z, gf * np.power(lo, gf - 1.0) * z, lo, _step_integral(lo, hi, gf)
@@ -473,7 +510,7 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
     grid = sorted(set(xs))
     blocks = _class_primes(max(grid, default=0.0), params)
     sides = [_decomposition_side(params, max(grid, default=0.0)), _main_term_side(params)]
-    at = dict(zip(grid, zip(*_checkpointed(params, blocks, grid, sides))))
+    at = dict(zip(grid, zip(*_prime_walk(params, blocks, grid, sides))))
     expo = float(params.claimed_exponent())
     rows = []
     for x in xs:
@@ -492,23 +529,14 @@ def gamma3_sum(x: float, params: Parameters) -> complex:
     """log-weighted psi-difference sum over primes <= x in the progression;
     a side of the walk with its own (gamma, 1) anchors, as the decomposition's."""
     gf = params.gamma_float
-    table = anchor_table(math.floor(x), gf, 1.0)
-
-    def term(blk, z):
-        return np.log(blk.astype(np.float64)) * _psi_weight(blk, gf, table) * z
-
-    return _walk(params, x, _sum_side(term)).value
+    return _walk(params, x, _psi_side(gf, anchor_table(math.floor(x), gf, 1.0))).value
 
 
 def _psi_sum(lo: int, hi: int, params: Parameters) -> complex:
     """sum of Lambda(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) e(t n^c) over
     lo < n <= hi, n = a (mod d); the psi-weights are certified near integers."""
-    acc = ComplexAccumulator()
-    for n, lam in sieve.lambda_in_ap(lo, hi, params.d, params.a):
-        w = _psi_weight(n, params.gamma_float)
-        z = e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))
-        acc.add_array(lam * w * z)
-    return acc.value
+    return _window(lo, hi, params.d, params.a, _psi_side(params.gamma_float, None),
+                   lambda n: e_of_frac_vec(phase_mod1_vec(params.t, n, params.c_float))).value
 
 
 def gamma4_sum(x: float, params: Parameters) -> complex:
@@ -587,27 +615,30 @@ def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
 # Gamma_10 / Gamma_11 window sums
 # ---------------------------------------------------------------------------
 
-def weighted_h_sums(window, hs, gamma: float, base=None) -> list:
-    """[sum of w(n) e(base(n) + h n^gamma) over the window] for each h of hs.
+def weighted_h_sums(n, w, hs, gamma: float, base=None) -> list:
+    """[sum of w(n) e(base(n) + h n^gamma) over the block n] for each h of hs.
 
-    window yields (n, w(n)) blocks: the Lambda-blocks of one sieve, or the
-    gathered products of heathbrown.type_sums.  It is read once, one block at
-    a time, with one accumulator per h.  Per block, base(n) (a phase array,
-    or none) and one {n^gamma} pair sized for the largest |h|
-    (numerics.frac_pair) are formed once; each h then costs one frac_times,
-    so no h re-powers n and no h re-sieves.  Each h adds the blocks in order.
+    One {n^gamma} pair sized for the largest |h| (numerics.frac_pair) is
+    formed once; each h then costs one frac_times, so no h re-powers n.
+    base is the block's phase array {base(n)}, or None for none.
     """
     height = max((abs(h) for h in hs), default=0)
-    accs = [ComplexAccumulator() for _ in hs]
-    for n, w in window:
-        b = None if base is None else base(n)
-        pair = frac_pair(n, gamma, height) if height else None
-        for h, acc in zip(hs, accs):
-            fr = frac_times(pair, h) if h else 0.0
-            if b is not None:
-                fr = np.mod(b + fr, 1.0)
-            acc.add(weighted_e_sum(w, fr), w.size)
-    return [acc.value for acc in accs]
+    pair = frac_pair(n, gamma, height) if height else None
+    frs = (frac_times(pair, h) if h else 0.0 for h in hs)
+    return [weighted_e_sum(w, fr if base is None else np.mod(base + fr, 1.0)) for fr in frs]
+
+
+def _h_side(hs, gamma: float) -> SimpleNamespace:
+    """The walk's side of the h-sums of a window, one accumulator per h of hs,
+    each adding weighted_h_sums over the units in order; z is the base phase."""
+    def fold(accs, arrays, k, x):
+        n, w, b = (a if a is None else a[:k] for a in arrays)
+        for acc, v in zip(accs, weighted_h_sums(n, w, hs, gamma, b)):
+            acc.add(v, k)
+
+    return SimpleNamespace(terms=lambda cols, nxt, z: (*cols, z), fold=fold,
+                           state=[ComplexAccumulator() for _ in hs],
+                           finish=lambda accs, x: [acc.value for acc in accs])
 
 
 def twisted_phase(n: np.ndarray, params: Parameters, k: int) -> np.ndarray:
@@ -629,8 +660,8 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
     if H == 0:
         return 0.0
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    inner = weighted_h_sums(sieve.lambda_in_ap(lo, hi, params.d, params.a),
-                            range(1, H + 1), params.gamma_float)
+    inner = _window(lo, hi, params.d, params.a, _h_side(range(1, H + 1), params.gamma_float),
+                    lambda n: None)
     return 2.0 * float(sum(abs(v) for v in inner))
 
 
@@ -641,10 +672,10 @@ def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
     if x1 > params.x:
         raise PreconditionError(f"x1 = {x1} exceeds x = {params.x}")
     lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
-    if hi <= lo:
+    if hi <= lo or not hs:
         return [0j] * len(hs)
-    return weighted_h_sums(sieve.lambda_in_ap(lo, hi, 1, 0), hs, params.gamma_float,
-                           lambda n: twisted_phase(n, params, int(k)))
+    return _window(lo, hi, 1, 0, _h_side(hs, params.gamma_float),
+                   lambda n: twisted_phase(n, params, int(k)))
 
 
 def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> complex:
@@ -660,8 +691,5 @@ def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> com
 
 def gamma10_sum(x1: float, H: int, params: Parameters, k: int) -> float:
     """Sum over 1 <= |h| <= H of |weighted_lambda_expsum(x1, h, ., k)|, one sieve."""
-    H = check_height(H)
-    if H == 0:
-        return 0.0
-    hs = [s * h for h in range(1, H + 1) for s in (1, -1)]
+    hs = [s * h for h in range(1, check_height(H) + 1) for s in (1, -1)]
     return float(sum(abs(v) for v in _twisted_sums(x1, hs, params, k)))

@@ -263,6 +263,14 @@ def test_type_sums_validates_input():
     with pytest.raises(PreconditionError):
         hb.type_sums(BOX, 2, PARAMS, x1=100.0)
     assert hb.type_sums(BOX, 0, PARAMS) == 0.0
+    # checked before the H = 0 and empty-window shortcuts
+    for kw in ({"a_coeffs": np.ones(3)}, {"variant": "SII", "b_coeffs": np.ones(3)},
+               {"x1": 100.0}):
+        with pytest.raises(PreconditionError):
+            hb.type_sums(BOX, 0, PARAMS, **kw)
+    far = Parameters(x=1e4, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    with pytest.raises(PreconditionError):
+        hb.type_sums(hb.DyadicBox(5, 10, 100, 200), 1, far, a_coeffs=np.ones(3))
 
 
 def test_type_sums_scale_cap():

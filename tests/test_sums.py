@@ -139,7 +139,7 @@ def test_pass_membership_matches_is_ps_prime(gamma):
     # decomposition side's own indicator, prime by prime
     ps = sieve.primes_in_ap(2e4, 1, 0)
     p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
-    (reps,) = sums._checkpointed(p, [ps], ps.astype(float), [sums._decomposition_side(p, p.x)])
+    (reps,) = sums._prime_walk(p, [ps], ps.astype(float), [sums._decomposition_side(p, p.x)])
     kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
     assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
     assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
@@ -301,10 +301,28 @@ def test_slices_recut_blocks_exactly(monkeypatch):
     ps = np.arange(100, 130, dtype=np.int64)
     cuts = np.cumsum([0, 3, 4, 0, 1, 9, 4, 1, 4, 4])
     got = list(sums._slices(ps[a:b] for a, b in zip(cuts, cuts[1:])))
-    want = [(ps[i:i + 4], ps[i + 1:i + 5]) for i in range(0, ps.size, 4)]
-    assert [(b.tolist(), n.tolist()) for b, n in got] == [
-        (b.tolist(), n.tolist()) for b, n in want]
+    want = [(ps[i:i + 4], ps[i + 1:i + 5], ps[i + 4] if i + 4 < ps.size else math.inf)
+            for i in range(0, ps.size, 4)]
+    assert [(b.tolist(), n.tolist(), e) for (b,), n, e in got] == [
+        (b.tolist(), n.tolist(), e) for b, n, e in want]
     assert list(sums._slices(iter([ps[:0]]))) == []
+
+
+@pytest.mark.parametrize("segment", [50, 64, 97, 128, 1000])
+def test_fold_units_recut_blocks_exactly(monkeypatch, segment):
+    # sieve segments that divide the 64-integer fold unit, equal it, do not
+    # divide it, and hold several units: the units are the blocks that a
+    # 64-integer sieve segment cuts, each with its top; windows open and
+    # close on and off the unit edges
+    monkeypatch.setattr(sums, "FOLD", 64)
+    for lo, hi, d, a in ((0, 1000, 3, 1), (100, 900, 1, 0), (127, 1024, 4, 3), (5, 6, 1, 0)):
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 64)
+        want = list(sieve.lambda_in_ap(lo, hi, d, a))
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+        got = list(sums._fold_units(lo, hi, d, a))
+        assert [top for _, _, top in got] == [min(e + 64, hi) for e in range(lo, hi, 64)]
+        assert [(n.tolist(), lam.tobytes(), nxt) for (n, lam), nxt, _ in got] == [
+            (n.tolist(), lam.tobytes(), None) for n, lam in want]
 
 
 def test_trend_rows_straddle_segment_edges(monkeypatch):
@@ -441,24 +459,50 @@ def test_walked_sums_power_anchors_once(monkeypatch):
 
 
 def test_window_sums_hold_one_block(monkeypatch):
-    # Gamma_11 over a Lambda-window of ~200 sieve segments reads it one block
-    # at a time: the traced peak stays well below the window's own bytes
-    # (a list of the window peaks at about three times them)
+    # Gamma_11, Gamma_5 and Gamma_10 over windows of ~200 fold units of 1024
+    # integers read them one unit at a time: the traced peak stays well below
+    # the window's own bytes (a list of the window peaks at about three times
+    # them); with FOLD unpatched, each window would be one unit, held whole
     import tracemalloc
 
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 1024)
+    monkeypatch.setattr(sums, "FOLD", 1024)
     p = Parameters(x=4e5, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
-    blocks = list(sieve.lambda_in_ap(int(p.x // 2), int(p.x), p.d, p.a))
-    assert len(blocks) > 150
-    window = sum(n.nbytes + lam.nbytes for n, lam in blocks)
-    del blocks
-    tracemalloc.start()
-    try:
-        sums.gamma11_sum(p.x, 2, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < window / 2, (peak, window)
+    for run, d, a in ((lambda: sums.gamma11_sum(p.x, 2, p), p.d, p.a),
+                      (lambda: sums.gamma5_sum(p.x, p), p.d, p.a),
+                      (lambda: sums.gamma10_sum(p.x, 1, p, 1), 1, 0)):
+        blocks = list(sieve.lambda_in_ap(int(p.x // 2), int(p.x), d, a))
+        assert len(blocks) > 150
+        window = sum(n.nbytes + lam.nbytes for n, lam in blocks)
+        del blocks
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window / 2, (d, peak, window)
+
+
+def _window_values(p):
+    """Every Lambda-window sum at p, as exact reprs."""
+    return [repr(v) for v in (sums.gamma4_sum(p.x * 0.6, p), sums.gamma5_sum(p.x, p),
+                              sums.gamma10_sum(p.x, 2, p, 1), sums.gamma10_sum(p.x * 0.7, 1, p, 3),
+                              sums.gamma11_sum(p.x, 3, p),
+                              *sums.gamma5_schedule(p).values)]
+
+
+@pytest.mark.parametrize("segment", [1024, 1000, 3000, 4096 * 3 + 5, 50_000])
+def test_window_sums_do_not_depend_on_the_segment(monkeypatch, segment):
+    # the windows fold in units of FOLD integers from their lo, whatever the
+    # sieve segment: ones that divide the unit, do not divide it, and span
+    # several units give the values of segment = unit bitwise
+    monkeypatch.setattr(sums, "FOLD", 4096)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 4096)
+    p = Parameters(x=5e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    want = _window_values(p)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    assert _window_values(p) == want
 
 
 def test_rhs_main_builds_no_gamma_table(monkeypatch):
@@ -638,9 +682,11 @@ def test_gamma10_is_the_sum_of_moduli():
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_h_sums_are_bitwise_the_h_outer_loop(monkeypatch, twisted):
-    # blocks outside and h inside: each h still adds the same block sums in
-    # the same order as a loop over h of loops over the held window
+    # units outside and h inside: each h of the walk's h-side still adds the
+    # same unit sums in the same order as a loop over h of loops over the
+    # held window, cut into 700-integer units from a 300-integer sieve segment
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 700)
+    monkeypatch.setattr(sums, "FOLD", 700)
     p = Parameters(x=2e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     base = (lambda n: sums.twisted_phase(n, p, 2)) if twisted else None
     hs = [0, 3, -3, 1, 7, -5]
@@ -655,7 +701,9 @@ def test_h_sums_are_bitwise_the_h_outer_loop(monkeypatch, twisted):
                 fr = np.mod(base(n) + fr, 1.0)
             acc.add(numerics.weighted_e_sum(w, fr), w.size)
         want.append(acc.value)
-    got = sums.weighted_h_sums(iter(window), hs, p.gamma_float, base)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 300)
+    got = sums._window(10_000, 20_000, p.d, p.a, sums._h_side(hs, p.gamma_float),
+                       base or (lambda n: None))
     assert got == want
 
 
@@ -694,6 +742,9 @@ def test_zero_height_returns_before_sieving(monkeypatch):
     assert calls == []
     with pytest.raises(PreconditionError):
         sums.gamma10_sum(p.x, -1, p, 1)
+    for x1, k in ((p.x, 0), (p.x, 1.5), (p.x, 4), (2 * p.x, 1)):     # checked before H = 0
+        with pytest.raises(PreconditionError):
+            sums.gamma10_sum(x1, 0, p, k)
     with pytest.raises(PreconditionError):
         sums.gamma11_sum(p.x, 1.5, p)
 

@@ -8,13 +8,15 @@ each (workload, seed) of PAIRS, pair i runs `perfbench/run.py --workload W
 the change first when i is odd; each run's metrics and value checksum are
 kept under the key "W/seedS".  Seed 1 of the claimed workload is a held-out
 input set, on which the claim must hold too.  Then, outside the benchmark,
-each side runs `psexp theorem --x-schedule S` once per schedule of SCALE in
-a fresh interpreter, which reports its wall seconds, its CPU seconds
-(time.process_time, steadier than wall time on a shared host) and its own
-ru_maxrss.  The series block gives, per metric, both sides' values, their
-medians, the parent's quartiles and the relative change of the median
-against the BENCHMARK.json bound; CLAIM names the metric claimed to improve
-(None when no gain is claimed, and then no claim_check is made).
+each psexp command of SCALE (an argv list, run with `--out` in a scratch
+directory) runs its count of alternating pairs, each in a fresh interpreter,
+which reports its wall seconds, its CPU seconds (time.process_time, steadier
+than wall time on a shared host) and its own ru_maxrss; scale_medians holds
+their medians per command and side.  The series block gives, per metric,
+both sides' values, their medians, the parent's quartiles and the relative
+change of the median against the BENCHMARK.json bound; CLAIM names the
+metric claimed to improve (None when no gain is claimed, and then no
+claim_check is made).
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ import subprocess
 import sys
 import tempfile
 
-PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 3))
+PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 10))
 SECONDS = 40
-SCALE = ("1e5:1e8", "1e5:1e9", "1e5:1e10")
+SCALE = ((["theorem", "--x-schedule", "1e5:1e8"], 6), (["theorem", "--x-schedule", "1e5:1e9"], 1),
+         (["theorem", "--x-schedule", "1e5:1e10"], 1), (["gamma5", "--x", "1e8"], 1))
 CLAIM = None
 _SCALE_RUN = """
 import resource, sys, time
 from psexp import cli
 t, cpu = time.perf_counter(), time.process_time()
-code = cli.main(["theorem", "--x-schedule", sys.argv[1], "--out", sys.argv[2]])
+code = cli.main(sys.argv[2:] + ["--out", sys.argv[1]])
 print(code, time.perf_counter() - t, time.process_time() - cpu,
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
@@ -62,13 +65,13 @@ def bench_run(checkout: str, workload: str, seed: int) -> dict:
     return result
 
 
-def scale_run(checkout: str, schedule: str) -> dict:
+def scale_run(checkout: str, argv: list) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out = subprocess.run(
-            [sys.executable, "-c", _SCALE_RUN, schedule, os.path.join(tmp, "trend.csv")],
+            [sys.executable, "-c", _SCALE_RUN, os.path.join(tmp, "out.csv"), *argv],
             cwd=tmp, env=_env(checkout), capture_output=True, text=True, check=True)
     code, seconds, cpu, rss = out.stdout.strip().splitlines()[-1].split()
-    return {"schedule": schedule, "exit": int(code), "seconds": float(seconds),
+    return {"argv": argv, "exit": int(code), "seconds": float(seconds),
             "cpu_seconds": float(cpu), "ru_maxrss_mb": float(rss)}
 
 
@@ -138,10 +141,11 @@ def main(argv=None) -> int:
                       f"correct {r['correct']} failed {r['failed']}", flush=True)
             i += 1
     scale = {side: [] for side in sides}
-    for sched in SCALE:
-        for side in sides:
-            scale[side].append(scale_run(sides[side], sched))
-            print(f"scale {sched} {side}: {scale[side][-1]}", flush=True)
+    for argv, n in SCALE:
+        for j in range(n):
+            for side in (("parent", "change") if j % 2 == 0 else ("change", "parent")):
+                scale[side].append(scale_run(sides[side], argv))
+                print(f"scale {' '.join(argv)} {side}: {scale[side][-1]}", flush=True)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -163,6 +167,10 @@ def main(argv=None) -> int:
         "checksums": {w: {side: sorted({r["checksum"] for r in runs[side][w]})
                           for side in sides} for w in keys},
         "scale": scale,
+        "scale_medians": {" ".join(argv): {side: {key: statistics.median(
+            r[key] for r in scale[side] if r["argv"] == argv)
+            for key in ("seconds", "cpu_seconds", "ru_maxrss_mb")} for side in sides}
+            for argv, _ in SCALE},
         "host": host,
         "src_loc": {side: src_loc(path) for side, path in sides.items()},
     }
