@@ -156,18 +156,10 @@ def dd_frac(xhi, xlo):
     return rhi, rlo
 
 
-def dd_from_int(n):
-    """Exact pair for integer input; exact up to |n| < 2^106.
-
-    Accepts python ints, int64 arrays, or float64 arrays holding integers.
-    """
-    arr = np.asarray(n)
-    if arr.dtype.kind in "iu" or arr.dtype == object:
-        hi = arr.astype(np.float64)
-        lo = (arr - hi.astype(arr.dtype if arr.dtype.kind in "iu" else object)).astype(np.float64)
-    else:
-        hi = arr.astype(np.float64)
-        lo = np.zeros_like(hi)
+def dd_from_int(n: np.ndarray):
+    """Exact pair for an int64 array (or 0-d array) with |n| < 2^62."""
+    hi = n.astype(np.float64)
+    lo = (n - hi.astype(np.int64)).astype(np.float64)
     return quick_two_sum(hi, lo)
 
 
@@ -351,7 +343,7 @@ def _table(anchors: np.ndarray, c: float, t: float, width: float, n_max: int) ->
 
 
 def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):
-    """The AnchorTable of every 1 <= n <= n_max, from one dd_pow_int call.
+    """The AnchorTable of every 1 <= n <= n_max < 2^53, from one dd_pow_int call.
 
     Its anchors are those of dd_scaled_frac(n, c, t, t_max) for each such n,
     so a walk that powers them once gets, from every call given the table,
@@ -363,6 +355,8 @@ def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):
     c, t = float(c), float(t)
     width = t if t_max is None else float(t_max)
     n_max = int(n_max)
+    if n_max >= 1 << 53:
+        raise PreconditionError(f"anchor table needs n_max < 2^53, got {n_max}")
     shifts = _anchor_shifts(c, width, _binomials(c))
     edges = [(1 << (L - 1), min((1 << L) - 1, n_max), 1 << int(shifts[L]))
              for L in range(1, max(n_max, 0).bit_length() + 1)]

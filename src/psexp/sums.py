@@ -16,14 +16,17 @@ Per slice the walk forms its phase once (e(t p^c) from the (c, t) anchors
 powered once per walk, ddmath.anchor_table; e(t n^c) on a window; the
 twisted {t n^c} + k n / d of Gamma_10) and hands it to each of its sides,
 reporting every side at every checkpoint x bitwise as a walk to that x
-alone would.  The prime walk's sides are the decomposition (pi_gamma,
-Gamma_1, Gamma_2), the main term and a _sum_side of one term per prime
-(pi_sum); theorem_trend walks once with the first two.  The psi-side adds
-w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z: Gamma_3 with w = log p, and the
-Lambda-windows of Gamma_4 and Gamma_5 with w = Lambda(n).  The h-side (one
-accumulator per h) gives Gamma_10 (gamma10_sum, weighted_lambda_expsum its
-one-h case) and Gamma_11 (gamma11_sum); heathbrown.type_sums takes the
-h-sums of its one gathered block from the same weighted_h_sums.
+alone would.  Each entry takes its x through _floor_x (finite, and at least
+what the sum needs), and the sieve checks its cap before a walk powers an
+anchor, so a failed check builds nothing.  The prime walk's sides are the
+decomposition (pi_gamma, Gamma_1, Gamma_2), the main term and a _sum_side
+of one term per prime (pi_sum); theorem_trend walks once with the first
+two.  The psi-side adds w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z: Gamma_3
+with w = log p, and the Lambda-windows of Gamma_4 and Gamma_5 with
+w = Lambda(n).  The h-side (one accumulator per h) gives Gamma_10
+(gamma10_sum, weighted_lambda_expsum its one-h case) and Gamma_11
+(gamma11_sum); heathbrown.type_sums takes the h-sums of its one gathered
+block from the same weighted_h_sums.
 
 The decomposition side takes every per-prime value of the bracket identity
 
@@ -125,9 +128,13 @@ def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> flo
 # the one walk engine, its two streams, and pi
 # ---------------------------------------------------------------------------
 
-def _class_primes(x: float, params: Parameters):
-    """Ascending blocks of the primes p <= x, p = a (mod d), one per sieve segment."""
-    return sieve.iter_primes_in_ap(0, int(math.floor(x)), params.d, params.a)
+def _floor_x(x: float, least: float, name: str) -> int:
+    """floor(x) for a caller's x; PreconditionError unless x is finite and >= least."""
+    if not math.isfinite(x):
+        raise PreconditionError(f"{name} must be finite, got {x}")
+    if not x >= least:
+        raise PreconditionError(f"{name} must be >= {least:g}, got {x}")
+    return math.floor(x)
 
 
 def _slices(blocks):
@@ -208,18 +215,18 @@ def _checkpointed(slices, xs, sides, phase) -> list:
     return reports
 
 
-def _prime_walk(params: Parameters, blocks, xs, sides) -> list:
-    """_checkpointed over blocks, the primes p <= max(xs), p = a (mod d)
-    (_class_primes), with the phase e(t p^c) from the (c, t) anchors powered
-    once for the walk (ddmath.anchor_table up to max(xs)): no digit moves."""
-    table = anchor_table(math.floor(max(xs, default=0.0)), params.c_float, params.t)
-    return _checkpointed(_slices(blocks), xs, sides, lambda blk: e_of_frac_vec(
+def _walk(params: Parameters, xs, sides) -> list:
+    """_checkpointed over the primes p <= top = floor(max(xs)), p = a (mod d),
+    for the sides(top), with the phase e(t p^c): in this order, the sieve
+    checks top (sieve.iter_primes_in_ap raises before anything is built), the
+    (c, t) anchors are powered once for the walk (ddmath.anchor_table up to
+    top), and then the sides are built, so a side's own table waits for the
+    check too."""
+    top = math.floor(max(xs, default=0.0))
+    blocks = sieve.iter_primes_in_ap(0, top, params.d, params.a)
+    table = anchor_table(top, params.c_float, params.t)
+    return _checkpointed(_slices(blocks), xs, sides(top), lambda blk: e_of_frac_vec(
         phase_mod1_vec(params.t, blk, params.c_float, table=table)))
-
-
-def _walk(params: Parameters, x: float, side):
-    """The report of one side at x, from a walk over the primes p <= x."""
-    return _prime_walk(params, _class_primes(x, params), [x], [side])[0][0]
 
 
 def _window(lo: int, hi: int, d: int, a: int, side, phase):
@@ -236,7 +243,7 @@ def _sum_side(term) -> SimpleNamespace:
 
 def pi_sum(params: Parameters) -> SumReport:
     """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
-    acc = _walk(params, params.x, _sum_side(lambda cols, z: z))
+    acc = _walk(params, [params.x], lambda top: [_sum_side(lambda cols, z: z)])[0][0]
     return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
 
 
@@ -288,15 +295,15 @@ class DecompositionReport:
         return self.identity_gap <= self.tolerance
 
 
-def _decomposition_side(params: Parameters, x_max: float) -> SimpleNamespace:
-    """The walk's side that gives a DecompositionReport at each x <= x_max.
+def _decomposition_side(params: Parameters, top: int) -> SimpleNamespace:
+    """The walk's side that gives a DecompositionReport at each x of a walk to top.
 
     One sieve.ps_floor call per block gives the indicator, the Gamma_1 weight
     delta = (p+1)^g - p^g and both psi arguments, so mask_mismatches is 0 by
-    construction.  The anchors of p^g are powered once, up to x_max.
+    construction.  The anchors of p^g are powered once, up to top.
     """
     gf = params.gamma_float
-    table = anchor_table(math.floor(x_max), gf, 1.0)
+    table = anchor_table(top, gf, 1.0)
 
     def terms(cols, nxt, z):
         member, f0, f1, delta = sieve.ps_floor(cols[0], gf, table=table)
@@ -324,7 +331,7 @@ def _decomposition_side(params: Parameters, x_max: float) -> SimpleNamespace:
 
 def gamma_decomposition(params: Parameters) -> DecompositionReport:
     """Evaluate pi_gamma = Gamma_1 + Gamma_2 at params.x (one checkpoint)."""
-    return _walk(params, params.x, _decomposition_side(params, params.x))
+    return _walk(params, [params.x], lambda top: [_decomposition_side(params, top)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +409,7 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
 
 def rhs_main(params: Parameters) -> MainTermPair:
     """The main term at params.x (one checkpoint), by quadrature and closed form."""
-    return _walk(params, params.x, _main_term_side(params))
+    return _walk(params, [params.x], lambda top: [_main_term_side(params)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +510,10 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
             f"gamma={params.gamma_float}; pass --allow-outside to run anyway")
     xs = [float(x) for x in xs]
     for x in xs:
-        if not x >= 2:
-            raise PreconditionError(f"schedule x must be >= 2, got {x}")
-        if not math.isfinite(x):
-            raise PreconditionError(f"schedule x must be finite, got {x}")
+        _floor_x(x, 2, "schedule x")
     grid = sorted(set(xs))
-    blocks = _class_primes(max(grid, default=0.0), params)
-    sides = [_decomposition_side(params, max(grid, default=0.0)), _main_term_side(params)]
-    at = dict(zip(grid, zip(*_prime_walk(params, blocks, grid, sides))))
+    at = dict(zip(grid, zip(*_walk(params, grid, lambda top: [
+        _decomposition_side(params, top), _main_term_side(params)]))))
     expo = float(params.claimed_exponent())
     rows = []
     for x in xs:
@@ -528,8 +531,10 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
 def gamma3_sum(x: float, params: Parameters) -> complex:
     """log-weighted psi-difference sum over primes <= x in the progression;
     a side of the walk with its own (gamma, 1) anchors, as the decomposition's."""
+    _floor_x(x, -math.inf, "gamma3_sum x")
     gf = params.gamma_float
-    return _walk(params, x, _psi_side(gf, anchor_table(math.floor(x), gf, 1.0))).value
+    acc = _walk(params, [x], lambda top: [_psi_side(gf, anchor_table(top, gf, 1.0))])[0][0]
+    return acc.value
 
 
 def _psi_sum(lo: int, hi: int, params: Parameters) -> complex:
@@ -541,7 +546,7 @@ def _psi_sum(lo: int, hi: int, params: Parameters) -> complex:
 
 def gamma4_sum(x: float, params: Parameters) -> complex:
     """Lambda-weighted psi-difference sum over n <= x in the progression."""
-    return _psi_sum(0, int(math.floor(x)), params)
+    return _psi_sum(0, _floor_x(x, -math.inf, "gamma4_sum x"), params)
 
 
 @dataclass
@@ -575,9 +580,8 @@ def gamma5_sum(x: float, params: Parameters) -> complex:
 
     Identically zero at gamma = 1, where both psi arguments are integers.
     """
-    if x < 4:
-        raise PreconditionError(f"gamma5_sum needs x >= 4, got {x}")
-    return _psi_sum(int(math.floor(x / 2)), int(math.floor(x)), params)
+    hi = _floor_x(x, 4, "gamma5_sum x")
+    return _psi_sum(hi // 2, hi, params)
 
 
 @dataclass
@@ -655,13 +659,11 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
     twice the sum over h = 1 .. H.
     """
     H = check_height(H)
-    if x < 4:
-        raise PreconditionError(f"gamma11_sum needs x >= 4, got {x}")
+    hi = _floor_x(x, 4, "gamma11_sum x")
     if H == 0:
         return 0.0
-    lo, hi = int(math.floor(x / 2)), int(math.floor(x))
-    inner = _window(lo, hi, params.d, params.a, _h_side(range(1, H + 1), params.gamma_float),
-                    lambda n: None)
+    inner = _window(hi // 2, hi, params.d, params.a,
+                    _h_side(range(1, H + 1), params.gamma_float), lambda n: None)
     return 2.0 * float(sum(abs(v) for v in inner))
 
 
@@ -669,9 +671,10 @@ def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
     """weighted_lambda_expsum(x1, h, params, k) for each h of hs, from one sieve."""
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= params.d):
         raise PreconditionError(f"need 1 <= k <= d = {params.d}, got k={k!r}")
+    hi = _floor_x(x1, -math.inf, "x1")
     if x1 > params.x:
         raise PreconditionError(f"x1 = {x1} exceeds x = {params.x}")
-    lo, hi = int(math.floor(params.x / 2)), int(math.floor(x1))
+    lo = math.floor(params.x) // 2
     if hi <= lo or not hs:
         return [0j] * len(hs)
     return _window(lo, hi, 1, 0, _h_side(hs, params.gamma_float),

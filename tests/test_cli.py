@@ -123,12 +123,15 @@ def test_theorem_schedule_below_two_exits_2(tmp_path, capsys):
         sums.theorem_trend(Parameters(x=10.0, c=1.05, gamma=0.995), [1.0, 10.0])
 
 
-@pytest.mark.parametrize("schedule", ["1e5,inf", "1e3:inf"])
+@pytest.mark.parametrize("schedule", ["1e5,inf", "1e3:inf", "1e5,nan"])
 def test_theorem_nonfinite_schedule_exits_2(tmp_path, capsys, schedule):
     out = tmp_path / "trend.csv"
-    assert run(["theorem", "--x-schedule", schedule, "--out", str(out)]) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("theorem", "gamma5"):
+        assert run([command, "--x-schedule", schedule, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -156,10 +159,11 @@ def test_theorem_beyond_the_sieve_cap_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sieve.np, "ones", no_allocation)
     out = tmp_path / "trend.csv"
-    assert run(["theorem", "--x", "1e30", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "exceeds the cap" in err and len(err.strip().splitlines()) == 1
-    assert not out.exists()
+    for command in ("theorem", "gamma5"):
+        assert run([command, "--x", "1e30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 def test_theorem_unsorted_schedule_keeps_its_order(tmp_path):

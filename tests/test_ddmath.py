@@ -211,3 +211,6 @@ def test_a_table_serves_only_its_own_parameters():
                            (10, 1.05, 0.25, None), (10, 1.05, 0.5, 2.0)]:
         with pytest.raises(PreconditionError):
             dm.dd_scaled_frac(np.array([n]), c, t, t_max, table=table)
+    for n_max in (2 ** 53, 2 ** 64):                 # past the kernel's n < 2^53
+        with pytest.raises(PreconditionError):
+            dm.anchor_table(n_max, 1.05, 0.5)

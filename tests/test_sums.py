@@ -14,7 +14,7 @@ import pytest
 
 from psexp import ddmath as dm
 from psexp import numerics, sieve, sums
-from psexp.errors import PreconditionError
+from psexp.errors import PreconditionError, ScaleError
 from psexp.numerics import (Parameters, e_of, e_of_frac_vec, phase_mod1,
                             phase_mod1_vec, psi)
 
@@ -139,7 +139,7 @@ def test_pass_membership_matches_is_ps_prime(gamma):
     # decomposition side's own indicator, prime by prime
     ps = sieve.primes_in_ap(2e4, 1, 0)
     p = Parameters(x=2e4, c=1.05, gamma=gamma, t=0.5)
-    (reps,) = sums._prime_walk(p, [ps], ps.astype(float), [sums._decomposition_side(p, p.x)])
+    (reps,) = sums._walk(p, ps.astype(float), lambda top: [sums._decomposition_side(p, top)])
     kept = np.diff([0] + [r.pi_gamma.n_terms for r in reps])
     assert kept.tolist() == [int(sieve.is_ps_prime(int(q), gamma)) for q in ps]
     assert all(r.mask_mismatches == 0 and r.identity_ok for r in reps)
@@ -760,3 +760,43 @@ def test_gamma11_pairs_conjugate_heights():
     for h in (1, 2, 3, -1, -2, -3):
         want += abs(np.sum(lam * np.exp(-2j * math.pi * phase_mod1_vec(float(h), n, 0.9))))
     assert sums.gamma11_sum(p.x, 3, p) == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# entry checks
+
+def _x_entries(p, x):
+    """The sums that take x (or x1) from the caller, at x, with H = 1, k = 1."""
+    return {"gamma3_sum": lambda: sums.gamma3_sum(x, p),
+            "gamma4_sum": lambda: sums.gamma4_sum(x, p),
+            "gamma34_gap": lambda: sums.gamma34_gap(x, p),
+            "gamma5_sum": lambda: sums.gamma5_sum(x, p),
+            "gamma5_schedule": lambda: sums.gamma5_schedule(p, [x]),
+            "gamma11_sum": lambda: sums.gamma11_sum(x, 1, p),
+            "gamma10_sum": lambda: sums.gamma10_sum(x, 1, p, 1),
+            "weighted_lambda_expsum": lambda: sums.weighted_lambda_expsum(x, 1, p, 1),
+            "theorem_trend": lambda: sums.theorem_trend(p, [x])}
+
+
+@pytest.mark.parametrize("x", [2.0 ** 52 + 2, 1e16, 1e30])
+def test_every_entry_checks_the_cap_before_powering(monkeypatch, x):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an anchor was powered before the sieve checked its cap")
+
+    monkeypatch.setattr(sums, "anchor_table", refuse)
+    monkeypatch.setattr(dm, "dd_pow_int", refuse)
+    p = Parameters(x=x, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    entries = {"pi_sum": lambda: sums.pi_sum(p),
+               "gamma_decomposition": lambda: sums.gamma_decomposition(p),
+               "rhs_main": lambda: sums.rhs_main(p), **_x_entries(p, x)}
+    for call in entries.values():
+        with pytest.raises(ScaleError, match="exceeds the cap"):
+            call()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_every_entry_refuses_a_nonfinite_x(x):
+    p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    for call in _x_entries(p, x).values():
+        with pytest.raises(PreconditionError, match="finite"):
+            call()

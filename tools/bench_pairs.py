@@ -12,27 +12,34 @@ each psexp command of SCALE (an argv list, run with `--out` in a scratch
 directory) runs its count of alternating pairs, each in a fresh interpreter,
 which reports its wall seconds, its CPU seconds (time.process_time, steadier
 than wall time on a shared host) and its own ru_maxrss; scale_medians holds
-their medians per command and side.  The series block gives, per metric,
-both sides' values, their medians, the parent's quartiles and the relative
-change of the median against the BENCHMARK.json bound; CLAIM names the
-metric claimed to improve (None when no gain is claimed, and then no
-claim_check is made).
+their medians per command and side.  SETUP_PAIRS alternating pairs of the
+benchmark's own set-up probe (the SETUP_PROBE of perfbench/run.py, in a fresh
+interpreter without bytecode cache, timed until it prints ready) give each
+side's median and quartiles under setup_probe, beside the setup_s readings
+of the pairs, whose few runs a noisy host can move past the bound.  The
+series block gives, per metric, both sides' values, their medians, the
+parent's quartiles and the relative change of the median against the
+BENCHMARK.json bound; CLAIM names the metric claimed to improve (None when
+no gain is claimed, and then no claim_check is made).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 10))
 SECONDS = 40
 SCALE = ((["theorem", "--x-schedule", "1e5:1e8"], 6), (["theorem", "--x-schedule", "1e5:1e9"], 1),
          (["theorem", "--x-schedule", "1e5:1e10"], 1), (["gamma5", "--x", "1e8"], 1))
+SETUP_PAIRS = 20
 CLAIM = None
 _SCALE_RUN = """
 import resource, sys, time
@@ -73,6 +80,34 @@ def scale_run(checkout: str, argv: list) -> dict:
     code, seconds, cpu, rss = out.stdout.strip().splitlines()[-1].split()
     return {"argv": argv, "exit": int(code), "seconds": float(seconds),
             "cpu_seconds": float(cpu), "ru_maxrss_mb": float(rss)}
+
+
+def setup_probe(checkout: str) -> str:
+    """The SETUP_PROBE source of the checkout's perfbench/run.py, read without
+    importing the benchmark."""
+    with open(os.path.join(checkout, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets))
+
+
+def setup_run(checkout: str, probe: str) -> float:
+    """Seconds from starting an interpreter on probe until it prints ready."""
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", probe], cwd=checkout, env=_env(checkout),
+                          stdout=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        seconds = time.perf_counter() - t0
+        proc.stdout.read()
+    if proc.returncode != 0 or line.strip() != b"ready":
+        raise RuntimeError(f"the set-up probe failed in {checkout}")
+    return seconds
+
+
+def spread(values: list) -> dict:
+    q = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "quartiles": [q[0], q[2]]}
 
 
 def src_loc(checkout: str) -> int:
@@ -140,6 +175,13 @@ def main(argv=None) -> int:
                 print(f"pair {i} {key} {side}: wall_s {r['metrics']['wall_s']['value']:.4f} "
                       f"correct {r['correct']} failed {r['failed']}", flush=True)
             i += 1
+    probes = {side: setup_probe(path) for side, path in sides.items()}
+    setup = {side: [] for side in sides}
+    for j in range(SETUP_PAIRS):
+        for side in (("parent", "change") if j % 2 == 0 else ("change", "parent")):
+            setup[side].append(setup_run(sides[side], probes[side]))
+        print(f"setup pair {j}: parent {setup['parent'][-1]:.4f} "
+              f"change {setup['change'][-1]:.4f}", flush=True)
     scale = {side: [] for side in sides}
     for argv, n in SCALE:
         for j in range(n):
@@ -166,6 +208,10 @@ def main(argv=None) -> int:
         "series": series(runs, bounds),
         "checksums": {w: {side: sorted({r["checksum"] for r in runs[side][w]})
                           for side in sides} for w in keys},
+        "setup_probe": {"probe": probes["change"], "pairs": SETUP_PAIRS,
+                        "order": "alternating, parent first in even pairs",
+                        **{side: {"seconds": setup[side], **spread(setup[side])}
+                           for side in sides}},
         "scale": scale,
         "scale_medians": {" ".join(argv): {side: {key: statistics.median(
             r[key] for r in scale[side] if r["argv"] == argv)
