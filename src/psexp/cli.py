@@ -2,9 +2,11 @@
 
 Subcommands: theorem, region, gamma5, vaaler, vdc, hb, suite.  Each consumes
 a RunConfig assembled from defaults, an optional key=value config file, and
-command-line overrides (highest precedence), writes plot-ready CSV with a
-leading #-comment block echoing the full config, and exits 0 on pass,
-1 on runtime error, 2 on precondition failure, 3 on invariant failure.
+command-line overrides (highest precedence), all keyed by one table, _KEYS;
+writes plot-ready CSV with a leading #-comment block echoing the full config
+(through numerics.write_csv, and findings through numerics.write_json); and
+exits 0 on pass, 1 on runtime error, 2 on precondition failure, 3 on
+invariant failure.
 
 Every command is deterministic given (config, seed): randomized suites use a
 seeded generator and CSV floats are written with repr, so repeated runs are
@@ -14,8 +16,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -28,32 +28,41 @@ from .errors import (BoundaryError, InvariantError, LabError, PrecisionError,
                      PreconditionError, ScaleError)
 from .numerics import Parameters
 
-_DEFAULTS = {
-    "command": "",
-    "c": "1.05",
-    "gamma": "0.995",
-    "t": "0.5",
-    "d": "3",
-    "a": "1",
-    "x": "10000",
-    "x-schedule": "",
-    "H": "100",
-    "out": "",
-    "seed": "101",
-    "grid-step": "1/200",
-    "tol": "1e-9",
-    "allow-outside": "0",
-    "fixture": "",
+def _as(kind, ok=None, want=""):
+    """The reader (key, raw) -> kind(raw): a PreconditionError that names the
+    key if raw does not convert, or if ok is given and the value fails it."""
+    def read(key: str, raw: str):
+        try:
+            value = kind(raw)
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
+        if ok is not None and not ok(value):
+            raise PreconditionError(f"{key} must be {want}, got {value}")
+        return value
+    return read
+
+
+# key: (default, reader of its typed view or None), in header order; each key
+# but command is a --flag, and cfg.grid_step reads key grid-step
+_KEYS = {
+    "command": ("", None),
+    "c": ("1.05", _as(Fraction)),
+    "gamma": ("0.995", _as(Fraction)),
+    "t": ("0.5", _as(float)),
+    "d": ("3", _as(int)),
+    "a": ("1", _as(int)),
+    "x": ("10000", _as(float, math.isfinite, "finite")),
+    "x-schedule": ("", None),
+    "H": ("100", _as(int)),
+    "out": ("", None),
+    "seed": ("101", _as(int, lambda v: v >= 0, ">= 0")),
+    "grid-step": ("1/200", _as(Fraction)),
+    "tol": ("1e-9", _as(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")),
+    "allow-outside": ("0", lambda key, raw: raw not in ("0", "", "false", "no")),
+    "fixture": ("", lambda key, raw: raw or None),
 }
-_FIELDS = tuple(_DEFAULTS)    # config keys in header order; each but command is a --flag
-
-
-def _typed(key: str, raw: str, kind):
-    """kind(raw), or a PreconditionError that names the config key."""
-    try:
-        return kind(raw)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"{key}: cannot read {raw!r} as {kind.__name__}") from None
+_DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
+_FIELDS = tuple(_KEYS)
 
 
 class RunConfig:
@@ -86,66 +95,13 @@ class RunConfig:
     def header_lines(self):
         return self.serialize().splitlines()
 
-    # typed views: a value that does not convert is a PreconditionError ------
-    def _view(self, key: str, kind):
-        return _typed(key, self.values[key], kind)
-
-    @property
-    def c(self) -> Fraction:
-        return self._view("c", Fraction)
-
-    @property
-    def gamma(self) -> Fraction:
-        return self._view("gamma", Fraction)
-
-    @property
-    def t(self) -> float:
-        return self._view("t", float)
-
-    @property
-    def d(self) -> int:
-        return self._view("d", int)
-
-    @property
-    def a(self) -> int:
-        return self._view("a", int)
-
-    @property
-    def x(self) -> float:
-        x = self._view("x", float)
-        if not math.isfinite(x):
-            raise PreconditionError(f"x must be finite, got {x}")
-        return x
-
-    @property
-    def H(self) -> int:
-        return self._view("H", int)
-
-    @property
-    def seed(self) -> int:
-        seed = self._view("seed", int)
-        if seed < 0:
-            raise PreconditionError(f"seed must be >= 0, got {seed}")
-        return seed
-
-    @property
-    def grid_step(self) -> Fraction:
-        return self._view("grid-step", Fraction)
-
-    @property
-    def tol(self) -> float:
-        tol = self._view("tol", float)
-        if not 0.0 <= tol < math.inf:
-            raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
-        return tol
-
-    @property
-    def allow_outside(self) -> bool:
-        return self.values["allow-outside"] not in ("0", "", "false", "no")
-
-    @property
-    def fixture(self):
-        return self.values["fixture"] or None
+    def __getattr__(self, name: str):
+        """The typed view of a key; a value that does not convert is a PreconditionError."""
+        key = name.replace("_", "-")
+        read = _KEYS.get(key, (None, None))[1]
+        if read is None:
+            raise AttributeError(name)
+        return read(key, self.values[key])
 
     def out(self, default: str) -> str:
         return self.values["out"] or default
@@ -155,13 +111,14 @@ class RunConfig:
         raw = self.values["x-schedule"]
         if not raw:
             return None
+        read = _as(float)
         if ":" in raw:
             parts = raw.split(":")
             if len(parts) not in (2, 3):
                 raise PreconditionError(f"bad x-schedule {raw!r}, want lo:hi[:factor]")
-            lo, hi, *factor = (_typed("x-schedule", s, float) for s in parts)
+            lo, hi, *factor = (read("x-schedule", s) for s in parts)
             return sums.geometric_schedule(lo, hi, *factor)
-        return [_typed("x-schedule", s, float) for s in raw.split(",")]
+        return [read("x-schedule", s) for s in raw.split(",")]
 
     def parameters(self) -> Parameters:
         return Parameters(x=self.x, c=self.c, gamma=self.gamma, t=self.t,
@@ -205,9 +162,7 @@ def cmd_region(cfg: RunConfig) -> int:
     cat = exponents.derive_gamma5_catalogue()
     findings = {"region": rep.findings(), "catalogue": cat.findings()}
     fpath = _findings_path(out)
-    with open(fpath, "w") as fh:
-        json.dump(findings, fh, indent=2)
-        fh.write("\n")
+    numerics.write_json(fpath, findings)
     inside = sum(1 for r in rep.rows if r.condition)
     print(f"grid step {cfg.grid_step}: {len(rep.rows)} points, {inside} inside; "
           f"equivalence {'ok' if rep.equivalence_ok else 'FAILED'}; "
@@ -249,14 +204,11 @@ def cmd_vaaler(cfg: RunConfig) -> int:
 def cmd_vdc(cfg: RunConfig) -> int:
     reports = vdc.standard_sweep()
     out = cfg.out("vdc_sweep.csv")
-    with open(out, "w", newline="") as fh:
-        for line in cfg.header_lines():
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["label", "kind", "a", "b", "lam", "bound", "empirical", "ratio"])
-        for r in reports:
-            w.writerow([r.label, r.kind, repr(r.interval[0]), repr(r.interval[1]),
-                        repr(r.lam), repr(r.bound), repr(r.empirical), repr(r.ratio)])
+    numerics.write_csv(out, cfg.header_lines(),
+                       ["label", "kind", "a", "b", "lam", "bound", "empirical", "ratio"],
+                       ([r.label, r.kind] + [repr(v) for v in (*r.interval, r.lam, r.bound,
+                                                                r.empirical, r.ratio)]
+                        for r in reports))
     worst = max(r.ratio for r in reports)
     trials, violations = vdc.square_out_trials(np.random.default_rng(cfg.seed))
     print(f"{len(reports)} derivative-test pairs, worst empirical/bound {worst:.4f}; "

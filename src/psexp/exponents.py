@@ -11,13 +11,12 @@ boundary so every check is an exact statement rather than an approximation.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .errors import PreconditionError
+from .numerics import write_csv, write_json
 
 F = Fraction
 
@@ -509,9 +508,7 @@ class CatalogueReport:
         return out
 
     def write_findings(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.findings(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.findings())
 
 
 H2_EXPONENT = 10             # the optimization window is [1, x^H2_EXPONENT]
@@ -613,17 +610,12 @@ class RegionReport:
     label_mismatches: list       # condition holds but maximizer is not the claim
 
     def write_csv(self, path, header_comments=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            w = csv.writer(fh)
-            w.writerow(["c", "gamma", "cond_1_3", "dominant_value_num",
-                        "dominant_value_den", "dominant_label", "matches_claim"])
-            for r in self.rows:
-                w.writerow([r.c, r.gamma, int(r.condition),
-                            r.dominant_value.numerator,
-                            r.dominant_value.denominator,
-                            ";".join(r.dominant_labels), int(r.matches_claim)])
+        write_csv(path, header_comments,
+                  ["c", "gamma", "cond_1_3", "dominant_value_num",
+                   "dominant_value_den", "dominant_label", "matches_claim"],
+                  ([r.c, r.gamma, int(r.condition), r.dominant_value.numerator,
+                    r.dominant_value.denominator, ";".join(r.dominant_labels),
+                    int(r.matches_claim)] for r in self.rows))
 
     def findings(self):
         out = []

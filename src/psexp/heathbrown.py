@@ -15,7 +15,6 @@ unit by unit: {h (ml)^gamma} for every 1 <= |h| <= H from one frac_pair.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -260,13 +259,8 @@ def classification_map(x, c):
 
 
 def write_classification_csv(path, rows, header_comments=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        wr = csv.writer(fh)
-        wr.writerow(["x", "c", "U", "V", "Z", "L_lo", "L_hi", "kind"])
-        for r in rows:
-            wr.writerow([repr(v) if isinstance(v, float) else v for v in r])
+    numerics.write_csv(path, header_comments, ["x", "c", "U", "V", "Z", "L_lo", "L_hi", "kind"],
+                       ([repr(v) if isinstance(v, float) else v for v in r] for r in rows))
 
 
 def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,

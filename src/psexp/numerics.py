@@ -22,6 +22,7 @@ error plus |h| 2^-53.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,8 +266,26 @@ def weighted_e_sum(w: np.ndarray, fracs: np.ndarray) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# reference fixture
+# reference fixture and output files
 # ---------------------------------------------------------------------------
+
+def write_csv(path: str, header_comments, columns, rows) -> None:
+    """One '# line' per header comment (ending in \\n), then the header row
+    and the data rows from csv.writer (ending in \\r\\n); cells are written
+    as given, so callers pass floats as repr."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header_comments)
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_json(path: str, obj) -> None:
+    """obj as JSON with indent 2, then a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
 
 def default_fixture_path() -> str:
     return str(resources.files("psexp").joinpath("data/phase_reference.csv"))

@@ -92,6 +92,13 @@ def _class_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
         yield np.insert(ps, 0, 2) if e < 2 <= top and (2 - a) % d == 0 else ps
 
 
+def check_cap(hi: int) -> int:
+    """hi, or ScaleError if a sieve to hi would pass EXACT_CAP."""
+    if hi > EXACT_CAP:
+        raise ScaleError(f"scale: sieve bound {hi} exceeds the cap 2^52 = {EXACT_CAP}")
+    return hi
+
+
 def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
     """The arguments checked, then the primes up to sqrt(hi) (None if the
     window (lo, hi] holds no n >= 2)."""
@@ -99,8 +106,7 @@ def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
         raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
     if lo < 0:
         raise PreconditionError(f"need lo >= 0, got {lo}")
-    if hi > EXACT_CAP:
-        raise ScaleError(f"scale: sieve bound {hi} exceeds the cap 2^52 = {EXACT_CAP}")
+    check_cap(hi)
     return primes_up_to(math.isqrt(hi)) if hi > max(lo, 1) else None
 
 
@@ -192,10 +198,11 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
     """
     if not (0 <= lo < hi):
         raise PreconditionError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    blocks = lambda_in_ap(lo, hi, 1, 0)     # checks the cap before the table is allocated
     n0 = lo + 1
     is_p = np.zeros(hi - lo, dtype=bool)
     lam = np.zeros(hi - lo)
-    for n, w in lambda_in_ap(lo, hi, 1, 0):
+    for n, w in blocks:
         lam[n - n0] = w
         is_p[n - n0] = w > 0.75 * np.log(n.astype(np.float64))  # Lambda(p^k) = log(p^k) / k
     return PrimeTable(lo, hi, is_p, lam)

@@ -16,9 +16,10 @@ Per slice the walk forms its phase once (e(t p^c) from the (c, t) anchors
 powered once per walk, ddmath.anchor_table; e(t n^c) on a window; the
 twisted {t n^c} + k n / d of Gamma_10) and hands it to each of its sides,
 reporting every side at every checkpoint x bitwise as a walk to that x
-alone would.  Each entry takes its x through _floor_x (finite, and at least
-what the sum needs), and the sieve checks its cap before a walk powers an
-anchor, so a failed check builds nothing.  The prime walk's sides are the
+alone would.  Each entry takes its x through _floor_x (finite, at least
+what the sum needs, and within the sieve's cap, before any shortcut), and
+the sieve checks its cap before a walk powers an anchor, so a failed check
+builds nothing.  The prime walk's sides are the
 decomposition (pi_gamma, Gamma_1, Gamma_2), the main term and a _sum_side
 of one term per prime (pi_sum); theorem_trend walks once with the first
 two.  The psi-side adds w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z: Gamma_3
@@ -47,7 +48,6 @@ PHASE_BUDGET (1.7e-13 against 40-digit mpmath for |h| <= 10^3).
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -58,7 +58,7 @@ from . import sieve
 from .ddmath import anchor_table
 from .errors import PreconditionError
 from .numerics import (PHASE_BUDGET, Parameters, check_height, e_of_frac_vec,
-                       frac_pair, frac_times, phase_mod1_vec, weighted_e_sum)
+                       frac_pair, frac_times, phase_mod1_vec, weighted_e_sum, write_csv)
 
 BLOCK = 1 << 16
 FOLD = 1 << 22
@@ -129,12 +129,13 @@ def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> flo
 # ---------------------------------------------------------------------------
 
 def _floor_x(x: float, least: float, name: str) -> int:
-    """floor(x) for a caller's x; PreconditionError unless x is finite and >= least."""
+    """floor(x) for a caller's x; PreconditionError unless x is finite and >= least,
+    then the sieve's ScaleError if floor(x) passes its cap (sieve.check_cap)."""
     if not math.isfinite(x):
         raise PreconditionError(f"{name} must be finite, got {x}")
     if not x >= least:
         raise PreconditionError(f"{name} must be >= {least:g}, got {x}")
-    return math.floor(x)
+    return sieve.check_cap(math.floor(x))
 
 
 def _slices(blocks):
@@ -484,17 +485,11 @@ class TrendReport:
         return len(r) >= 2 and all(b > a for a, b in zip(r, r[1:]))
 
     def write_csv(self, path: str, header_comments=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            w = csv.writer(fh)
-            w.writerow(["x", "re_lhs", "im_lhs", "re_main", "im_main",
-                        "abs_err", "ratio_err_main", "log_err_over_log_x"])
-            for r in self.rows:
-                w.writerow([repr(r.x), repr(r.lhs.real), repr(r.lhs.imag),
-                            repr(r.main.real), repr(r.main.imag),
-                            repr(r.abs_err), repr(r.ratio_err_main),
-                            repr(r.log_err_over_log_x)])
+        write_csv(path, header_comments, ["x", "re_lhs", "im_lhs", "re_main", "im_main",
+                                          "abs_err", "ratio_err_main", "log_err_over_log_x"],
+                  ([repr(v) for v in (r.x, r.lhs.real, r.lhs.imag, r.main.real, r.main.imag,
+                                      r.abs_err, r.ratio_err_main, r.log_err_over_log_x)]
+                   for r in self.rows))
 
 
 def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendReport:
@@ -593,25 +588,25 @@ class Gamma5Schedule:
     claimed: list
 
     def write_csv(self, path: str, header_comments=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            w = csv.writer(fh)
-            w.writerow(["x", "abs_gamma5", "claimed_bound"])
-            for x, v, b in zip(self.xs, self.values, self.claimed):
-                w.writerow([repr(x), repr(abs(v)), repr(b)])
+        write_csv(path, header_comments, ["x", "abs_gamma5", "claimed_bound"],
+                  ([repr(x), repr(abs(v)), repr(b)]
+                   for x, v, b in zip(self.xs, self.values, self.claimed)))
 
 
 def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
     """Evaluate gamma5_sum at each x of xs; by default down the dyadic ladder
-    params.x, params.x/2, params.x/4, ... (stops below 4)."""
+    params.x, params.x/2, params.x/4, ... (stops below 4).  Every x is checked
+    before the first rung is summed."""
     if xs is None:
         xs, x = [], params.x
         while x >= 4:
             xs.append(x)
             x = x / 2.0
+    xs = list(xs)
+    for x in xs:
+        _floor_x(x, 4, "gamma5_sum x")
     expo = float(params.claimed_exponent())
-    return Gamma5Schedule(list(xs), [gamma5_sum(x, params) for x in xs],
+    return Gamma5Schedule(xs, [gamma5_sum(x, params) for x in xs],
                           [x ** expo for x in xs])
 
 

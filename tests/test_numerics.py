@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psexp import sieve
+from psexp import exponents, heathbrown, sieve, sums
 from psexp.errors import PrecisionError, PreconditionError
 from psexp.numerics import (PHASE_CAP, Parameters, UnitComplex, check_height, e_of,
                             e_of_frac_vec, frac, frac_pair, frac_times, phase_mod1,
@@ -283,3 +283,50 @@ def test_phase_fixture_rejects_empty(tmp_path):
     p.write_text("# only a comment\nt,n,c,frac\n")
     with pytest.raises(PreconditionError):
         verify_phase_fixture(str(p))
+
+
+# ---------------------------------------------------------------------------
+# written bytes
+
+def test_writers_pin_every_output_byte(tmp_path):
+    # hand-built reports, no kernel values: '# ' comment lines end in \n, the
+    # csv.writer rows in \r\n, floats are repr and Fractions str; the findings
+    # JSON has indent 2 and a final newline
+    def written(write):
+        path = tmp_path / "out"
+        write(str(path))
+        return path.read_bytes()
+
+    trend = sums.TrendReport([
+        sums.TheoremReport(complex(0.1, -2e-17), complex(-2.5, 0.0), 0j, 1e5, None, 0.5),
+        sums.TheoremReport(complex(1 / 3, 0.0), 0j, complex(-1.0, 0.0), 1e6, None, 0.5)], None)
+    assert written(lambda p: trend.write_csv(p, header_comments=("c=1.05", "out="))) == (
+        b"# c=1.05\n# out=\n"
+        b"x,re_lhs,im_lhs,re_main,im_main,abs_err,ratio_err_main,log_err_over_log_x\r\n"
+        b"100000.0,0.1,-2e-17,-2.5,0.0,0.0,0.0,-inf\r\n"
+        b"1000000.0,0.3333333333333333,0.0,0.0,0.0,1.0,inf,0.0\r\n")
+
+    sched = sums.Gamma5Schedule([8.0, 4.5], [complex(3.0, 4.0), -0.5j], [1.25, 2e-300])
+    assert written(sched.write_csv) == (
+        b"x,abs_gamma5,claimed_bound\r\n8.0,5.0,1.25\r\n4.5,0.5,2e-300\r\n")
+
+    F = Fraction
+    region = exponents.RegionReport(F(1, 2), True, "", [
+        exponents.RegionRow(F(21, 20), F(199, 200), True, F(3, 4), ("A", "B2"), False, True),
+        exponents.RegionRow(F(1), F(1), False, F(-2), ("C",), True, False)], [], [], [])
+    assert written(lambda p: region.write_csv(p, header_comments=("grid-step=1/2",))) == (
+        b"# grid-step=1/2\n"
+        b"c,gamma,cond_1_3,dominant_value_num,dominant_value_den,dominant_label,matches_claim\r\n"
+        b"21/20,199/200,1,3,4,A;B2,0\r\n1,1,0,-2,1,C,1\r\n")
+
+    rows = [(1e6, 1.1, 12.5, 0.1, 3e20, 1, 2, "type I")]
+    assert written(lambda p: heathbrown.write_classification_csv(p, rows)) == (
+        b"x,c,U,V,Z,L_lo,L_hi,kind\r\n1000000.0,1.1,12.5,0.1,3e+20,1,2,type I\r\n")
+
+    catalogue = exponents.CatalogueReport(None, [("R1", "lemma", "x^(1/2)")], [], [], [],
+                                          [], ["a note"])
+    assert written(catalogue.write_findings) == (
+        b'[\n  {\n    "term": "x^(1/2)",\n    "status": "matched",\n'
+        b'    "reference": "R1",\n    "via": "lemma",\n    "witness_point": null\n  },\n'
+        b'  {\n    "term": null,\n    "status": "note",\n    "detail": "a note",\n'
+        b'    "witness_point": null\n  }\n]\n')

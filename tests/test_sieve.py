@@ -188,6 +188,15 @@ def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):
     assert list(sieve.iter_primes_in_ap(50, 50, 3, 1)) == []
 
 
+def test_sieve_range_checks_the_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("sieve_range allocated its table past the cap")
+
+    monkeypatch.setattr(sieve.np, "zeros", no_allocation)
+    with pytest.raises(ScaleError, match="exceeds the cap"):
+        sieve.sieve_range(0, sieve.EXACT_CAP + 2)
+
+
 def test_windows_past_the_sieve_cap_run():
     # only primes_in_ap, which holds every block at once, stops at SIEVE_CAP;
     # a window across it sieves as one below it does, 2^32 = 2^32 included

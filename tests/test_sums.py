@@ -785,13 +785,25 @@ def test_every_entry_checks_the_cap_before_powering(monkeypatch, x):
 
     monkeypatch.setattr(sums, "anchor_table", refuse)
     monkeypatch.setattr(dm, "dd_pow_int", refuse)
+    calls = count_sieves(monkeypatch)
     p = Parameters(x=x, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
     entries = {"pi_sum": lambda: sums.pi_sum(p),
                "gamma_decomposition": lambda: sums.gamma_decomposition(p),
-               "rhs_main": lambda: sums.rhs_main(p), **_x_entries(p, x)}
+               "rhs_main": lambda: sums.rhs_main(p), **_x_entries(p, x),
+               "gamma11_sum H=0": lambda: sums.gamma11_sum(x, 0, p),    # before the shortcut
+               "gamma10_sum H=0": lambda: sums.gamma10_sum(x, 0, p, 1)}
     for call in entries.values():
         with pytest.raises(ScaleError, match="exceeds the cap"):
             call()
+    assert calls == []
+
+
+def test_gamma5_schedule_checks_every_x_before_the_first_rung(monkeypatch):
+    calls = count_sieves(monkeypatch)
+    p = Parameters(x=1e6, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    with pytest.raises(PreconditionError, match="finite"):
+        sums.gamma5_schedule(p, [1e6, math.nan])
+    assert calls == []
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
