@@ -187,12 +187,13 @@ def cmd_gamma5(cfg: RunConfig) -> int:
 
 
 def cmd_vaaler(cfg: RunConfig) -> int:
-    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(
-        cfg.H, np.random.default_rng(cfg.seed), cfg.tol)
+    # every flag is read before H is checked, so a bad --seed or --tol wins
+    H, rng, tol = cfg.H, np.random.default_rng(cfg.seed), cfg.tol
+    coeffs = vaaler.build_coefficients(H)
+    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(coeffs, rng, tol)
     out = cfg.out("vaaler_coefficients.csv")
-    vaaler.dump_coefficients_csv(vaaler.build_coefficients(cfg.H), out,
-                                 header=cfg.header_lines())
-    print(f"H={cfg.H}: worst pointwise gap {worst:.3e} at x={worst_x:.6f}; "
+    vaaler.dump_coefficients_csv(coeffs, out, header=cfg.header_lines())
+    print(f"H={H}: worst pointwise gap {worst:.3e} at x={worst_x:.6f}; "
           f"max |a(h) h| = {a_cap:.6f}; max b(h) H = {b_cap:.6f}")
     print(f"wrote {out}")
     if not ok:
@@ -267,7 +268,8 @@ def cmd_suite(cfg: RunConfig) -> int:
                 f"pi(1e4)={n_primes} (want 1229), mask/scalar agree={agree}")
 
     def check_vaaler():
-        checks = [vaaler.grid_check(H, rng, cfg.tol) for H in (1, 10, 100)]
+        checks = [vaaler.grid_check(vaaler.build_coefficients(H), rng, cfg.tol)
+                  for H in (1, 10, 100)]
         return (all(c[4] for c in checks),
                 f"worst pointwise gap {max(c[0] for c in checks):.3e} at H = 1, 10, 100")
 

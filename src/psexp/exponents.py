@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .errors import PreconditionError
 from .numerics import write_csv, write_json
@@ -157,44 +157,29 @@ class TermSet:
     """
 
     def __init__(self, terms=()):
-        self._terms = []
-        self._index = {}
-        self._by_exp = {}
+        self._terms = {}            # key -> term, in first-added order
         for t in terms:
             self.add(t)
 
     def add(self, t):
-        k = t.key()
-        if k in self._index:
-            i = self._index[k]
-            old = self._terms[i]
+        old = self._terms.get(t.key())
+        if old is not None:
             label = old.label
             if t.label and t.label not in label.split("; "):
                 label = f"{label}; {t.label}" if label else t.label
-            self._terms[i] = MonomialTerm(old.x_exp, old.h_exp, old.coef, label)
-        else:
-            self._index[k] = len(self._terms)
-            self._by_exp.setdefault((t.x_exp, t.h_exp), len(self._terms))
-            self._terms.append(t)
+            t = old.relabel(label)
+        self._terms[t.key()] = t
 
     def terms(self):
-        return list(self._terms)
+        return list(self._terms.values())
 
     def find(self, x_exp, h_exp=0):
-        i = self._by_exp.get((x_exp, _rat(h_exp, "h_exp")))
-        return None if i is None else self._terms[i]
-
-    def labels(self):
-        return [t.label for t in self._terms]
-
-    def sorted(self):
-        def keyf(t):
-            e = t.x_exp
-            return (t.h_exp, e.alpha, e.beta, e.u, t.coef)
-        return TermSet(sorted(self._terms, key=keyf))
+        """The first term with this (x_exp, h_exp), or None."""
+        h_exp = _rat(h_exp, "h_exp")
+        return next((t for t in self if t.x_exp == x_exp and t.h_exp == h_exp), None)
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self._terms.values())
 
     def __len__(self):
         return len(self._terms)
@@ -202,7 +187,7 @@ class TermSet:
     def __eq__(self, other):
         if not isinstance(other, TermSet):
             return NotImplemented
-        return {t.key() for t in self} == {t.key() for t in other}
+        return self._terms.keys() == other._terms.keys()
 
     def __repr__(self):
         return f"TermSet({len(self._terms)} terms)"
@@ -494,11 +479,9 @@ class CatalogueReport:
         for ref_label, t in self.reference_unmatched:
             out.append({"term": str(t), "status": "unmatched",
                         "reference": ref_label, "witness_point": None})
-        for lab, t, by, wit in self.computed_extra:
+        for lab, t, by in self.computed_extra:
             out.append({"term": str(t), "status": "computed-extra", "via": lab,
-                        "dominated_by": by,
-                        "witness_point": None if wit is None else
-                        {"c": str(wit[0]), "gamma": str(wit[1])}})
+                        "dominated_by": by, "witness_point": None})
         for lab, t, by in self.pruned:
             out.append({"term": str(t), "status": "pruned", "via": lab,
                         "dominated_by": by, "witness_point": None})
@@ -559,7 +542,7 @@ def derive_gamma5_catalogue():
     for t in kept:
         if ref.find(t.x_exp) is None:
             by = next((rt.label for rt in ref if dominates(rt, t)), None)
-            computed_extra.append((t.label, t, by, None))
+            computed_extra.append((t.label, t, by))
 
     notes = [
         f"optimization window [1, x^{H2_EXPONENT}]; falling terms at the upper"
@@ -645,7 +628,7 @@ def region_report(grid_step=F(1, 200)):
     if step <= 0:
         raise PreconditionError("precondition: grid_step must be positive")
     cat = reference_catalogues()["gamma5_final"].terms()
-    claimed_label = next(t.label for t in cat if t.x_exp == CLAIMED_X_EXPONENT)
+    claimed = next(i for i, t in enumerate(cat) if t.x_exp == CLAIMED_X_EXPONENT)
 
     # integer scaling: with c = nc*step, gamma = ng*step, every exponent value
     # times M/step is U + A*nc + B*ng for the integers below
@@ -654,39 +637,24 @@ def region_report(grid_step=F(1, 200)):
     p, q = step.numerator, step.denominator
     scaled = [(int(t.x_exp.u * M) * q, int(t.x_exp.alpha * M) * p,
                int(t.x_exp.beta * M) * p, t.label) for t in cat]
-    cl_u, cl_a, cl_b = (int(CLAIMED_X_EXPONENT.u * M) * q,
-                        int(CLAIMED_X_EXPONENT.alpha * M) * p,
-                        int(CLAIMED_X_EXPONENT.beta * M) * p)
     scale = M * q
 
-    nc_lo, nc_hi = int(C_LO / step), C_HI / step
-    ng_hi = 1 / step
     rows, cond_mism, dom_fail, lab_mism = [], [], [], []
-    nc = nc_lo
-    while True:
-        nc += 1
-        if nc >= nc_hi:
-            break
+    # the grid points strictly inside C_LO < c < C_HI and 0 < gamma < 1
+    for nc in range(int(C_LO / step) + 1, ceil(C_HI / step)):
         c = nc * step
-        # condition margin times q: 9q - 19(nc*p - q) - 171(q - ng*p)
-        for ng in range(1, -(-ng_hi.numerator // ng_hi.denominator)):
-            if ng * step >= 1:
-                break
+        for ng in range(1, ceil(1 / step)):
             g = ng * step
+            # condition margin times q: 9q - 19(nc*p - q) - 171(q - ng*p)
             cond = 9 * q - 19 * (nc * p - q) - 171 * (q - ng * p) > 0
-            best, labels = None, []
-            for u, a, b, lab in scaled:
-                v = u + a * nc + b * ng
-                if best is None or v > best:
-                    best, labels = v, [lab]
-                elif v == best:
-                    labels.append(lab)
+            vals = [u + a * nc + b * ng for u, a, b, _ in scaled]
+            best = max(vals)
+            labels = [row[3] for v, row in zip(vals, scaled) if v == best]
             g_scaled = M * ng * p
-            claim_lt = cl_u + cl_a * nc + cl_b * ng < g_scaled
-            if claim_lt != cond:
+            if (vals[claimed] < g_scaled) != cond:
                 cond_mism.append((c, g))
             dom_lt = best < g_scaled
-            matches = labels == [claimed_label]
+            matches = labels == [scaled[claimed][3]]
             if cond and not dom_lt:
                 dom_fail.append((c, g, Fraction(best, scale)))
             if cond and not matches:

@@ -39,7 +39,6 @@ N_CAP = 2 ** 53             # n must stay under this
 PHASE_BUDGET = 1e-9         # documented |{t n^c}| error per phase evaluation
 T_CAP = 1.0e6               # |t| cap for phase evaluation
 
-Rational = Union[Fraction, int]
 Real = Union[float, Fraction, int]
 
 
@@ -79,8 +78,7 @@ class Parameters:
             raise PreconditionError(f"residue a must be an integer, got {self.a}")
         if math.gcd(self.a, self.d) != 1:
             raise PreconditionError(f"need gcd(a, d) = 1, got gcd({self.a}, {self.d})")
-        if not (math.isfinite(self.t) and abs(self.t) <= T_CAP):
-            raise PreconditionError(f"|t| must be finite and <= {T_CAP:g}, got {self.t}")
+        _check_phase_args(self.t, cf)
 
     @property
     def c_float(self) -> float:

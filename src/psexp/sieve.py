@@ -104,6 +104,8 @@ def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
     window (lo, hi] holds no n >= 2)."""
     if d < 1 or math.gcd(a, d) != 1:
         raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
+    if not all(isinstance(v, (int, np.integer)) for v in (lo, hi)):
+        raise PreconditionError(f"need integer bounds, got ({lo!r}, {hi!r})")
     if lo < 0:
         raise PreconditionError(f"need lo >= 0, got {lo}")
     check_cap(hi)
@@ -163,8 +165,10 @@ def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
 
     The blocks of iter_primes_in_ap over (0, x], concatenated: the one
     sieve that holds every block, so the one that raises ScaleError, before
-    allocating anything, once x exceeds SIEVE_CAP.
+    allocating anything, once x exceeds SIEVE_CAP.  x must be finite.
     """
+    if not math.isfinite(x):
+        raise PreconditionError(f"x must be finite, got {x}")
     n = int(math.floor(x))
     if n > SIEVE_CAP:
         raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")

@@ -98,30 +98,24 @@ class ComplexAccumulator:
 
 @dataclass
 class SumReport:
-    """A finished sum: value, term count, precision budget.
+    """A finished sum of unit-modulus terms: value, term count, precision budget.
 
-    weight_bound is the sum of |weights| (= n_terms for unit-modulus sums);
-    the triangle inequality |value| <= weight_bound + phase_error_bound is
-    checked by invariant_ok.
+    The triangle inequality |value| <= n_terms + phase_error_bound is checked
+    by invariant_ok.
     """
 
     value: complex
     n_terms: int
     phase_error_bound: float
-    weight_bound: float = None
-
-    def __post_init__(self):
-        if self.weight_bound is None:
-            self.weight_bound = float(self.n_terms)
 
     @property
     def invariant_ok(self) -> bool:
-        return abs(self.value) <= self.weight_bound + self.phase_error_bound + 1e-9
+        return abs(self.value) <= self.n_terms + self.phase_error_bound + 1e-9
 
 
-def _phase_bound(n_terms: int, phases_per_term: int, weight_bound: float) -> float:
+def _phase_bound(n_terms: int) -> float:
     # |e(y+eps) - e(y)| <= 2 pi |eps|, one budget per phase evaluation
-    return 2.0 * math.pi * PHASE_BUDGET * phases_per_term * max(weight_bound, float(n_terms))
+    return 2.0 * math.pi * PHASE_BUDGET * float(n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +133,24 @@ def _floor_x(x: float, least: float, name: str) -> int:
 
 
 def _slices(blocks):
-    """((blk,), nxt, end) over the ascending prime blocks, re-cut to exact BLOCK slices.
+    """((blk,), end) over the ascending prime blocks, re-cut to exact BLOCK slices.
 
-    nxt[i] is the prime after blk[i] and end the prime after the slice; one
-    prime of lookahead is held, so they are missing (end = inf) only at the
-    very end.  At most one sieve block and one slice are held at a time.
+    end is the prime after the slice; one prime of lookahead is held, so it
+    is missing (end = inf) only at the very end.  At most one sieve block and
+    one slice are held at a time.
     """
     buf = np.zeros(0, dtype=np.int64)
     for b in blocks:
         buf = np.concatenate([buf, b]) if buf.size else b
         while buf.size > BLOCK:
-            yield (buf[:BLOCK],), buf[1:BLOCK + 1], buf[BLOCK]
+            yield (buf[:BLOCK],), buf[BLOCK]
             buf = buf[BLOCK:]
     if buf.size:
-        yield (buf,), buf[1:], math.inf
+        yield (buf,), math.inf
 
 
 def _fold_units(lo: int, hi: int, d: int, a: int):
-    """((n, Lambda(n)), None, top) over (lo, hi], n = a (mod d), in fold units.
+    """((n, Lambda(n)), top) over (lo, hi], n = a (mod d), in fold units.
 
     The blocks of sieve.lambda_in_ap are re-cut at lo + j FOLD, so unit j is
     (lo + j FOLD, top], top = min(lo + (j+1) FOLD, hi), whatever the sieve's
@@ -169,8 +163,7 @@ def _fold_units(lo: int, hi: int, d: int, a: int):
         while top <= min(lo + (j + 1) * seg, hi):      # this block reaches the top
             i = int(np.searchsorted(n, top, side="right"))
             held.append((n[:i], lam[:i]))
-            yield (held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held))),
-                   None, top)
+            yield held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held))), top
             held, n, lam = [], n[i:], lam[i:]
             top = hi + 1 if top == hi else min(top + FOLD, hi)
         if n.size:
@@ -180,35 +173,35 @@ def _fold_units(lo: int, hi: int, d: int, a: int):
 def _checkpointed(slices, xs, sides, phase) -> list:
     """For each side, one report per x of the ascending xs, from one walk.
 
-    slices streams ascending (cols, nxt, end): the primes (blk,) of _slices,
-    with nxt the prime after each one, or the (n, Lambda(n)) units of
-    _fold_units; end is the first n after the slice, so the slice lies past
-    x when end <= x.  Each slice's phase(cols[0]) is formed once and handed
-    to every side.  A side is a namespace of terms, fold, state and finish.
-    terms(cols, nxt, z) evaluates one slice per element; fold(state, arrays,
-    k, x) adds the first k elements to the state, x is None for a whole
-    slice, or the checkpoint when the slice holds the last n <= x.  Each
-    checkpoint folds its slice into a copy of every state, so its report is
-    bitwise the one a walk to that x alone gives.
+    slices streams ascending (cols, end): the primes (blk,) of _slices or the
+    (n, Lambda(n)) units of _fold_units; end is the first n after the slice,
+    so the slice lies past x when end <= x.  Each slice's phase(cols[0]) is
+    formed once and handed to every side.  A side is a namespace of terms,
+    fold, state and finish.  terms(cols, end, z) evaluates one slice per
+    element; fold(state, arrays, k, x) adds the first k elements to the
+    state, x is None for a whole slice, or the checkpoint when the slice
+    holds the last n <= x.  Each checkpoint folds its slice into a copy of
+    every state, so its report is bitwise the one a walk to that x alone
+    gives.
     """
-    def slice_terms(cols, nxt):
+    def slice_terms(cols, end):
         z = phase(cols[0])
-        return [side.terms(cols, nxt, z) for side in sides]
+        return [side.terms(cols, end, z) for side in sides]
 
-    stop = ((np.zeros(0, dtype=np.int64),), None, math.inf)
-    cols, nxt, end = next(slices, stop)
+    stop = ((np.zeros(0, dtype=np.int64),), math.inf)
+    cols, end = next(slices, stop)
     reports = [[] for _ in sides]
     arrays = None
     for x in xs:
         while end <= x:                             # x lies past this slice
-            for side, arr in zip(sides, arrays or slice_terms(cols, nxt)):
+            for side, arr in zip(sides, arrays or slice_terms(cols, end)):
                 side.fold(side.state, arr, cols[0].size, None)
             arr = None                              # freed before the next unit is sieved
-            (cols, nxt, end), arrays = next(slices, stop), None
+            (cols, end), arrays = next(slices, stop), None
         snaps = copy.deepcopy([side.state for side in sides])
         k = int(np.searchsorted(cols[0], x, side="right"))
         if k:
-            arrays = arrays or slice_terms(cols, nxt)
+            arrays = arrays or slice_terms(cols, end)
             for side, snap, arr in zip(sides, snaps, arrays):
                 side.fold(snap, arr, k, x)
         for side, snap, out in zip(sides, snaps, reports):
@@ -237,7 +230,7 @@ def _window(lo: int, hi: int, d: int, a: int, side, phase):
 
 def _sum_side(term) -> SimpleNamespace:
     """The walk's side that adds up term(cols, z); it reports the ComplexAccumulator."""
-    return SimpleNamespace(terms=lambda cols, nxt, z: term(cols, z), state=ComplexAccumulator(),
+    return SimpleNamespace(terms=lambda cols, end, z: term(cols, z), state=ComplexAccumulator(),
                            fold=lambda acc, arr, k, x: acc.add_array(arr[:k]),
                            finish=lambda acc, x: acc)
 
@@ -245,7 +238,7 @@ def _sum_side(term) -> SimpleNamespace:
 def pi_sum(params: Parameters) -> SumReport:
     """pi(x,d,a,t,c) = sum over primes p <= x, p = a (mod d) of e(t p^c)."""
     acc = _walk(params, [params.x], lambda top: [_sum_side(lambda cols, z: z)])[0][0]
-    return SumReport(acc.value, acc.count, _phase_bound(acc.count, 1, acc.count))
+    return SumReport(acc.value, acc.count, _phase_bound(acc.count))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ def _decomposition_side(params: Parameters, top: int) -> SimpleNamespace:
     gf = params.gamma_float
     table = anchor_table(top, gf, 1.0)
 
-    def terms(cols, nxt, z):
+    def terms(cols, end, z):
         member, f0, f1, delta = sieve.ps_floor(cols[0], gf, table=table)
         w2 = _psi_of_minus(f1) - _psi_of_minus(f0)
         return z, delta, w2, member
@@ -318,15 +311,14 @@ def _decomposition_side(params: Parameters, top: int) -> SimpleNamespace:
         st.g1.add_array(w1 * z)
         st.g2.add_array(w2 * z)
         st.weight_sum += float(np.sum(np.abs(w1)) + np.sum(np.abs(w2)) + kept)
-        st.n_kept += kept
 
     def finish(st, x):
-        pg = SumReport(st.pg.value, st.n_kept, _phase_bound(st.n_kept, 1, st.n_kept))
+        pg = SumReport(st.pg.value, st.pg.count, _phase_bound(st.pg.count))
         gap = abs(pg.value - st.g1.value - st.g2.value)
         return DecompositionReport(pg, st.g1.value, st.g2.value, gap, st.weight_sum, 0)
 
     state = SimpleNamespace(pg=ComplexAccumulator(), g1=ComplexAccumulator(),
-                            g2=ComplexAccumulator(), weight_sum=0.0, n_kept=0)
+                            g2=ComplexAccumulator(), weight_sum=0.0)
     return SimpleNamespace(terms=terms, fold=fold, state=state, finish=finish)
 
 
@@ -378,10 +370,9 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
     """
     gf = params.gamma_float
 
-    def terms(cols, nxt, z):
-        blk = cols[0]
-        lo = blk.astype(np.float64)
-        hi = np.concatenate([nxt, blk[nxt.size:]]).astype(np.float64)
+    def terms(cols, end, z):
+        lo = cols[0].astype(np.float64)
+        hi = np.append(lo[1:], lo[-1] if end == math.inf else end)
         return z, gf * np.power(lo, gf - 1.0) * z, lo, _step_integral(lo, hi, gf)
 
     def fold(st, arrays, k, x):
@@ -635,7 +626,7 @@ def _h_side(hs, gamma: float) -> SimpleNamespace:
         for acc, v in zip(accs, weighted_h_sums(n, w, hs, gamma, b)):
             acc.add(v, k)
 
-    return SimpleNamespace(terms=lambda cols, nxt, z: (*cols, z), fold=fold,
+    return SimpleNamespace(terms=lambda cols, end, z: (*cols, z), fold=fold,
                            state=[ComplexAccumulator() for _ in hs],
                            finish=lambda accs, x: [acc.value for acc in accs])
 

@@ -160,18 +160,17 @@ def pointwise_check(xs: np.ndarray, coeffs: VaalerCoefficients):
     return float(gap[i]), float(xs[i])
 
 
-def grid_check(H: int, rng: np.random.Generator, tol: float):
-    """The degree-H check on 10,001 grid points of [0, 1] and 1000 random x.
+def grid_check(coeffs: VaalerCoefficients, rng: np.random.Generator, tol: float):
+    """The check of degree-H coeffs on 10,001 grid points of [0, 1] and 1000 random x.
 
     Returns (worst_gap, worst_x, a_cap, b_cap, ok): the pointwise_check pair,
     max |a(h) h| and max b(h) H, and ok when the gap is <= tol and both caps
     hold.
     """
-    coeffs = build_coefficients(H)
     xs = np.concatenate([np.linspace(0.0, 1.0, 10_001), rng.uniform(0.0, 1.0, 1000)])
     worst, worst_x = pointwise_check(xs, coeffs)
     a_cap = coeffs.a_abs_cap()
-    b_cap = float(np.max(coeffs.b) * H)
+    b_cap = float(np.max(coeffs.b) * coeffs.H)
     return worst, worst_x, a_cap, b_cap, worst <= tol and a_cap <= A_CAP and b_cap <= B_CAP
 
 

@@ -25,7 +25,7 @@ caps each; `psexp vdc` and `psexp suite` both run that one check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,6 @@ class BoundReport:
     bound: float
     empirical: float
     ratio: float
-    bracket: tuple[float, float] = field(default=(0.0, 0.0))
     label: str = ""
 
 
@@ -123,7 +122,7 @@ def compare(pf: PhaseFunction, kind: str = "second") -> BoundReport:
     bound = (second_derivative_bound(length, lam) if order == 2
              else third_derivative_bound(length, lam))
     emp = empirical_sum(pf)
-    return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, (lo, hi), pf.label)
+    return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, pf.label)
 
 
 def square_out_check(z: np.ndarray, Q: int, rel_tol: float = 1e-6):

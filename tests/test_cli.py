@@ -267,6 +267,15 @@ def test_vaaler_coefficient_dump(tmp_path):
     assert float(first[3]) == 1.0 / 51.0
 
 
+def test_vaaler_builds_its_coefficients_once(tmp_path, monkeypatch):
+    # the grid check and the CSV dump share one build
+    calls = []
+    build = vaaler.build_coefficients
+    monkeypatch.setattr(vaaler, "build_coefficients", lambda H: calls.append(H) or build(H))
+    assert run(["vaaler", "--H", "5", "--out", str(tmp_path / "coeffs.csv")]) == 0
+    assert calls == [5]
+
+
 def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a coefficient cap no Vaaler coefficient can meet (a negative --tol is a
     # malformed flag, which exits 2)

