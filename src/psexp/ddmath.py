@@ -32,10 +32,18 @@ dd_scaled_frac for the error budget, which the fusion leaves as it was.
 The powers at the anchors form an AnchorTable: a walk builds one for every
 n up to its end (anchor_table, one dd_pow_int call) and passes it to each
 call, and a call without one builds it from its own n; either way the values
-are the same, bit for bit.  Passing t_max sizes the anchors for a larger
-|t|, so one pair {t n^c} serves every multiple h t n^c with |h t| <= |t_max|
-(numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a correctly rounded square
-root with one exact Newton residual, exact at perfect squares.
+are the same, bit for bit.  No anchor is searched for: a walk's table
+holds, per bit length L, the anchors 2^(L-1) + i 2^s(L), so n's row is
+offset[L] + (n >> s(L)), and a call's own table indexes its rows as it
+builds them.  The table also keeps Dekker's split of D1's high part, so
+while k = n - n0 < 2^26 the exact product D1_hi k needs no split per
+element.  dd_frac takes {x} in one quick_two_sum where hi - floor(hi) is
+exact (Sterbenz), the pair path only where hi is integral or in (-1, 0);
+each of the three gives the bits it replaces.  Passing t_max sizes the
+anchors for a larger |t|, so one pair {t n^c} serves every multiple h t n^c
+with |h t| <= |t_max| (numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a
+correctly rounded square root with one exact Newton residual, exact at
+perfect squares.
 """
 
 from __future__ import annotations
@@ -145,14 +153,27 @@ def dd_floor(xhi, xlo):
 
 
 def dd_frac(xhi, xlo):
-    """{x} in [0, 1); exact 0.0 for integer pairs."""
-    fhi, flo = dd_floor(xhi, xlo)
-    rhi, rlo = dd_add(xhi, xlo, -fhi, -flo)
+    """{x} in [0, 1); exact 0.0 for integer pairs.
+
+    Where hi is not an integer and hi >= 0 or hi <= -1, f = hi - floor(hi)
+    is exact: floor(hi) is 0 or lies within a factor 2 of hi (Sterbenz).
+    The pair subtraction x - floor(x) then sums hi and -floor(hi) with an
+    error of +0.0 and lo and -0.0 to lo + 0.0, so it comes down to
+    quick_two_sum(f, lo + 0.0), bit for bit (+ 0.0 turns a lo of -0.0 into
+    the +0.0 the subtraction gives; f, hi itself or a nonzero multiple of
+    ulp(hi), is at least 2 |lo|).  Integral hi, whose fraction lives in lo,
+    and hi in (-1, 0), where hi + 1 rounds, keep the pair subtraction.
+    """
+    xhi, xlo = np.asarray(xhi, dtype=np.float64), np.asarray(xlo, dtype=np.float64)
+    fl = np.floor(xhi)
+    rhi, rlo = (np.asarray(v) for v in quick_two_sum(xhi - fl, xlo + 0.0))
+    pair = np.broadcast_to((xhi == fl) | (fl == -1.0), rhi.shape)
+    if pair.any():
+        phi, plo = (np.broadcast_to(v, rhi.shape)[pair] for v in (xhi, xlo))
+        rhi[pair], rlo[pair] = dd_add(phi, plo, *dd_neg(*dd_floor(phi, plo)))
     # guard the half-open range against rounding at either end
-    too_hi = rhi >= 1.0
-    rhi = np.where(too_hi, rhi - 1.0, rhi)
-    neg = rhi < 0.0
-    rhi = np.where(neg, rhi + 1.0, rhi)
+    rhi[rhi >= 1.0] -= 1.0
+    rhi[rhi < 0.0] += 1.0
     return rhi, rlo
 
 
@@ -280,6 +301,7 @@ _TRUNC_BITS = -45        # |A| * (tail of g beyond r^J) <= 2^-45
 _TAYLOR_J = 8            # g(r) keeps binom(c, j) r^j for j = 2 .. J
 _CHUNK = 1 << 13         # elements per correction pass: temporaries stay in cache
 _TABLE_SPAN = 64         # anchor_table: at most one anchor per this many integers
+_SPLIT_BITS = 26         # k < 2^26 is its own high half in Dekker's split
 
 
 def _log2(v: float) -> float:
@@ -321,7 +343,12 @@ class AnchorTable(NamedTuple):
     """t n0^c (A) and c t n0^(c-1) (D1) as pairs at sorted anchors n0.
 
     Built for one (c, t, width) and every n <= n_max: anchor_table for a
-    whole walk, or dd_scaled_frac from the n of one call.
+    whole walk, or dd_scaled_frac from the n of one call.  d_split holds
+    Dekker's halves of d_hi (two_prod's split of its first factor).  In a
+    walk's table the anchors of bit length L run from 2^(L-1) in steps of
+    2^s(L), so n of bit length L finds its row at offset[L] + (n >> s(L));
+    a call's own table has no offset (None), its rows being indexed by the
+    call.
     """
 
     c: float
@@ -333,13 +360,19 @@ class AnchorTable(NamedTuple):
     a_lo: np.ndarray
     d_hi: np.ndarray
     d_lo: np.ndarray
+    d_split: tuple
+    offset: np.ndarray | None
 
 
-def _table(anchors: np.ndarray, c: float, t: float, width: float, n_max: int) -> AnchorTable:
+def _table(anchors: np.ndarray, c: float, t: float, width: float, n_max: int,
+           offset: np.ndarray | None) -> AnchorTable:
     # one dd_pow_int call; the anchors are exact in float64, their low s bits being zero
     a_hi, a_lo = dd_mul_d(*dd_pow_int(anchors, c), t)
     d_hi, d_lo = dd_div(*dd_mul_d(a_hi, a_lo, c), anchors.astype(np.float64), 0.0)
-    return AnchorTable(c, t, width, n_max, anchors, a_hi, a_lo, d_hi, d_lo)
+    dd = _SPLITTER * d_hi
+    d_big = dd - (dd - d_hi)
+    return AnchorTable(c, t, width, n_max, anchors, a_hi, a_lo, d_hi, d_lo,
+                       (d_big, d_hi - d_big), offset)
 
 
 def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):
@@ -358,13 +391,65 @@ def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):
     if n_max >= 1 << 53:
         raise PreconditionError(f"anchor table needs n_max < 2^53, got {n_max}")
     shifts = _anchor_shifts(c, width, _binomials(c))
-    edges = [(1 << (L - 1), min((1 << L) - 1, n_max), 1 << int(shifts[L]))
+    edges = [(1 << (L - 1), min((1 << L) - 1, n_max), int(shifts[L]))
              for L in range(1, max(n_max, 0).bit_length() + 1)]
-    if n_max < 1 or sum((hi - lo) // step + 1 for lo, hi, step in edges) > n_max // _TABLE_SPAN:
+    counts = [((hi - lo) >> s) + 1 for lo, hi, s in edges]
+    if n_max < 1 or sum(counts) > n_max // _TABLE_SPAN:
         return None
-    anchors = np.concatenate([np.arange(lo, hi + 1, step, dtype=np.int64)
-                              for lo, hi, step in edges])
-    return _table(anchors, c, t, width, n_max)
+    # n's row = (rows below bit length L) + ((n - 2^(L-1)) >> s), so offset[L] folds in
+    # the -(2^(L-1) >> s)
+    offset = np.zeros(shifts.size, dtype=np.int64)
+    offset[1:len(edges) + 1] = np.cumsum([0] + counts[:-1]) - [lo >> s for lo, _, s in edges]
+    anchors = np.concatenate([np.arange(lo, hi + 1, 1 << s, dtype=np.int64)
+                              for lo, hi, s in edges])
+    return _table(anchors, c, t, width, n_max, offset)
+
+
+def _anchors(m: np.ndarray, shifts: np.ndarray, offset: np.ndarray | None):
+    """(n0, row): each m's anchor, m with its low s(L) bits cleared, and, given
+    a walk table's offset, the anchor's row offset[L] + (m >> s(L)), else None.
+
+    L is the bit length of m, one scalar when min(m) and max(m) share it.
+    """
+    bits = int(m.min()).bit_length()
+    if bits != int(m.max()).bit_length():
+        bits = np.frexp(m.astype(np.float64))[1]
+    s = shifts[bits]
+    q = m >> s
+    return q << s, (None if offset is None else offset[bits] + q)
+
+
+def _own_table(flat: np.ndarray, shifts: np.ndarray, c: float, t: float, width: float,
+               top: int):
+    """(the AnchorTable of flat's distinct anchors, each element's row in it).
+
+    On ascending anchors the row is the running count of new anchors, else
+    np.unique's inverse.
+    """
+    anchors = _anchors(flat, shifts, None)[0]
+    if np.all(anchors[1:] >= anchors[:-1]):
+        new = np.concatenate(([True], anchors[1:] != anchors[:-1]))
+        return _table(anchors[new], c, t, width, top, None), np.cumsum(new) - 1
+    distinct, rows = np.unique(anchors, return_inverse=True)
+    return _table(distinct, c, t, width, top, None), rows
+
+
+def _d1_times(table: AnchorTable, j: np.ndarray, k: np.ndarray, split: bool):
+    """D1 k at rows j as a pair, bit for bit dd_mul_d(d_hi, d_lo, k).
+
+    With split, every k is an integer below 2^_SPLIT_BITS and so its own high
+    half in Dekker's split: two_prod(d_hi, k) takes d_hi's halves from the
+    table, and its terms with k's low half, products with 0.0, are dropped,
+    which leaves every bit as it was: the partial sums they join are never
+    -0.0 (x - x rounds to +0.0), and adding a zero to such a sum changes
+    nothing.
+    """
+    dh, dl = table.d_hi[j], table.d_lo[j]
+    if not split:
+        return dd_mul_d(dh, dl, k)
+    p = dh * k
+    e = (table.d_split[0][j] * k - p) + table.d_split[1][j] * k
+    return quick_two_sum(p, e + dl * k)
 
 
 def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
@@ -381,16 +466,21 @@ def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
 
     A comes from dd_pow_int once per anchor and D1 from dd_div, both rows of
     an AnchorTable: the given table (anchor_table, for a whole walk) or one
-    built from the distinct anchors of this call's n.  Per _CHUNK elements the
-    anchors are found by searchsorted, the constant and linear terms are pair
-    arithmetic (D1 k is exact up to the pair's rounding), only A_hi g(r) with
-    j <= J = 8 is float64 Horner, and the chunk's t n^c pair goes straight
-    to dd_frac, so no full-size t n^c pair is held.  The second value is
-    max |t n^c| (its hi part), for the callers' 2^70 cap.  When every s is 0
-    (c = 1/2, 1 or 2, small n, or large |t_max|) each element is
-    t * dd_pow_int(n, c); elements whose n is its own anchor equal that bit
-    for bit in any case, and no value depends on the other elements, on the
-    chunking or on whether a table was given.
+    built from the distinct anchors of this call's n.  Each _CHUNK elements
+    find their rows by arithmetic: in a walk's table, offset[L] + (n >> s);
+    in the call's own table, the running count of new anchors on ascending
+    n, else np.unique's inverse.  With a table given, the chunk is all that
+    is held besides the two outputs.  The constant and linear terms are pair
+    arithmetic (D1 k is exact up to the pair's rounding; while every s is at
+    most 26, k is its own Dekker half and two_prod(D1_hi, k) takes D1_hi's
+    halves from the table), only A_hi g(r) with j <= J = 8 is float64
+    Horner, and the chunk's t n^c pair goes straight to dd_frac, one
+    quick_two_sum for all but integral or (-1, 0) hi, so no full-size t n^c
+    pair is held.  The second value is max |t n^c| (its hi part), for the
+    callers' 2^70 cap.  When every s is 0 (c = 1/2, 1 or 2, small n, or
+    large |t_max|) each element is t * dd_pow_int(n, c); elements whose n is
+    its own anchor equal that bit for bit in any case, and no value depends
+    on the other elements, on the chunking or on whether a table was given.
 
     Error budget, beyond dd_pow_int's own ~2^-104 |t n^c| at n0: the
     float64 remainder is at most 2^11 |t / t_max|, so its rounding (Horner,
@@ -418,30 +508,26 @@ def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
         raise PreconditionError(f"anchor table for (c, t, t_max) = {table[:3]}, "
                                 f"n <= {table.n_max} does not serve ({c}, {t}, {width}), "
                                 f"n <= {top}")
-    anchored = shifts[top.bit_length()] > 0          # s grows with L: some s > 0
-    if anchored:
-        s = shifts[np.frexp(flat.astype(np.float64))[1]]
-        anchors = (flat >> s) << s
-        if table is None and np.all(anchors[1:] >= anchors[:-1]):   # ascending: no sort
-            table = _table(anchors[np.concatenate(([True], anchors[1:] != anchors[:-1]))],
-                           c, t, width, top)
-        elif table is None:
-            table = _table(np.unique(anchors), c, t, width, top)
+    widest = int(shifts[top.bit_length()])
+    anchored = widest > 0                            # s grows with L: some s > 0
+    rows = None
+    if anchored and table is None:
+        table, rows = _own_table(flat, shifts, c, t, width, top)
     for i in range(0, flat.size, _CHUNK):
         part = slice(i, i + _CHUNK)
         m = flat[part]
         if anchored:
-            n0 = anchors[part]
-            j = np.searchsorted(table.n0, n0)
-            ah, al = table.a_hi[j], table.a_lo[j]
+            n0, j = _anchors(m, shifts, table.offset)
+            j = rows[part] if j is None else j
+            ah = table.a_hi[j]
             k = (m - n0).astype(np.float64)              # exact, < 2^s
             r = k / n0.astype(np.float64)
             g = binom[_TAYLOR_J - 2]
             for b in binom[_TAYLOR_J - 3::-1]:
                 g = g * r + b
-            lin_hi, lin_lo = dd_add_d(*dd_mul_d(table.d_hi[j], table.d_lo[j], k),
+            lin_hi, lin_lo = dd_add_d(*_d1_times(table, j, k, widest <= _SPLIT_BITS),
                                       ah * (g * r * r))
-            hi, lo = dd_add(ah, al, lin_hi, lin_lo)
+            hi, lo = dd_add(ah, table.a_lo[j], lin_hi, lin_lo)
         else:
             hi, lo = dd_mul_d(*dd_pow_int(m, c), t)
         peak = max(peak, float(np.max(np.abs(hi))))

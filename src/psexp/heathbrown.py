@@ -147,6 +147,8 @@ def uvz_windows(x, c):
     x, c = float(x), float(c)
     if not 1 < c < 28 / 19:
         raise PreconditionError(f"precondition: c={c} outside (1, 28/19)")
+    if not math.isfinite(x):
+        raise PreconditionError(f"x must be finite, got {x}")
     if x < 2:
         raise PreconditionError(f"precondition: x={x} < 2")
     u = 2.0 ** -10 * x ** ((56 - 38 * c) / 171)

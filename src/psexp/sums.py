@@ -345,8 +345,8 @@ class MainTermPair:
         return self.closed_form
 
 
-def _step_integral(lo: np.ndarray, hi, gamma: float) -> np.ndarray:
-    """Integral of y^(gamma-2) over [lo, hi], elementwise.
+def _step_integral(lo: np.ndarray, hi, gamma: float, lo_pow: np.ndarray) -> np.ndarray:
+    """Integral of y^(gamma-2) over [lo, hi], elementwise, given lo_pow = lo^(gamma-1).
 
     The antiderivative y^(gamma-1) / (gamma-1) taken as
     lo^(gamma-1) expm1((gamma-1) log1p((hi-lo)/lo)) / (gamma-1), which does
@@ -357,7 +357,7 @@ def _step_integral(lo: np.ndarray, hi, gamma: float) -> np.ndarray:
     if gamma == 1.0:
         return log_ratio
     e = gamma - 1.0
-    return np.power(lo, e) * np.expm1(e * log_ratio) / e
+    return lo_pow * np.expm1(e * log_ratio) / e
 
 
 def _main_term_side(params: Parameters) -> SimpleNamespace:
@@ -373,13 +373,14 @@ def _main_term_side(params: Parameters) -> SimpleNamespace:
     def terms(cols, end, z):
         lo = cols[0].astype(np.float64)
         hi = np.append(lo[1:], lo[-1] if end == math.inf else end)
-        return z, gf * np.power(lo, gf - 1.0) * z, lo, _step_integral(lo, hi, gf)
+        lo_pow = np.power(lo, gf - 1.0)
+        return z, gf * lo_pow * z, lo, _step_integral(lo, hi, gf, lo_pow)
 
     def fold(st, arrays, k, x):
         z, closed, lo, piece = (a[:k] for a in arrays)
         if x is not None:                           # the tail piece ends at x
             piece = piece.copy()
-            piece[-1] = _step_integral(lo[-1:], x, gf)[0]
+            piece[-1] = _step_integral(lo[-1:], x, gf, np.power(lo[-1:], gf - 1.0))[0]
         pi_y = z.copy()                             # pi(y) on each piece
         pi_y[0] += st.pi_y
         pi_y = np.cumsum(pi_y)

@@ -71,9 +71,14 @@ def phi_damping(t: float) -> float:
     return math.pi * t * (1.0 - t) / math.tan(math.pi * t) + t
 
 
-def build_coefficients(H: int) -> VaalerCoefficients:
+def _check_degree(H) -> None:
+    """PreconditionError unless H is an integer with 1 <= H <= H_MAX."""
     if not (isinstance(H, (int, np.integer)) and 1 <= H <= H_MAX):
         raise PreconditionError(f"need integer 1 <= H <= {H_MAX}, got {H!r}")
+
+
+def build_coefficients(H: int) -> VaalerCoefficients:
+    _check_degree(H)
     h = np.arange(1, H + 1, dtype=np.float64)
     phi = np.array([phi_damping(v) for v in h / (H + 1.0)])
     a = 1j * phi / (2.0 * math.pi * h)
@@ -119,8 +124,9 @@ def fejer_closed_form(x, H: int):
     """(sin(pi(H+1)x) / ((H+1) sin(pi x)))^2, = 1 at integers; oracle for M.
 
     |sin(pi y)| is evaluated as sin(pi * min({y}, 1-{y})) so the value stays
-    accurate when {y} is close to 0 or 1.
+    accurate when {y} is close to 0 or 1.  H as for build_coefficients.
     """
+    _check_degree(H)
     x = np.asarray(x, dtype=np.float64)
 
     def abs_sin_pi_pair(yhi, ylo):
@@ -140,8 +146,9 @@ def naive_fejer_psi(x, H: int):
     """Undamped comparison: Fejer-weighted partial sum of the psi series.
 
     -(1/pi) sum (1 - h/(H+1)) sin(2 pi h x)/h.  Kept as a foil: it fails the
-    pointwise inequality against M near integers.
+    pointwise inequality against M near integers.  H as for build_coefficients.
     """
+    _check_degree(H)
     h = np.arange(1, H + 1, dtype=np.float64)
     s = _trig_series(np.sin, x, (1.0 - h / (H + 1.0)) / h)
     return (-s / math.pi) if s.shape else float(-s / math.pi)

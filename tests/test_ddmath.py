@@ -214,3 +214,86 @@ def test_a_table_serves_only_its_own_parameters():
     for n_max in (2 ** 53, 2 ** 64):                 # past the kernel's n < 2^53
         with pytest.raises(PreconditionError):
             dm.anchor_table(n_max, 1.05, 0.5)
+
+
+def pair_path_frac(xhi, xlo):
+    """{x} by the pair subtraction x - floor(x) for every element: dd_frac as it
+    was before its one-step path, kept here as an independent oracle."""
+    fhi = np.floor(xhi)
+    flo = np.where(xhi == fhi, np.floor(xlo), 0.0)
+    fhi, flo = dm.quick_two_sum(fhi, flo)
+    s1, s2 = dm.two_sum(xhi, -fhi)
+    t1, t2 = dm.two_sum(xlo, -flo)
+    s1, s2 = dm.quick_two_sum(s1, s2 + t1)
+    rhi, rlo = dm.quick_two_sum(s1, s2 + t2)
+    rhi = np.where(rhi >= 1.0, rhi - 1.0, rhi)
+    rhi = np.where(rhi < 0.0, rhi + 1.0, rhi)
+    return rhi, rlo
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_frac_is_the_pair_subtraction_bit_for_bit():
+    rng = np.random.default_rng(3)
+    pairs = [oracle(rng.integers(1, 2 ** 40, 20_000), c, t)
+             for c, t in [(1.05, 0.5), (0.995, -1.0), (1.45, -3.0), (0.75, 1e-3), (1.9, 1e4),
+                          (0.5, -2.0), (1.0, -0.5)]]
+    # integral hi, hi in (-1, 0), lo = +-0.0, |hi| near 2^52, each against lo of either sign
+    edge_hi = [0.0, -0.0, 1.0, -1.0, 5.0, -5.0, 2.0 ** 52, -2.0 ** 52, 2.0 ** 52 - 0.5,
+               -(2.0 ** 52 - 0.5), 2.0 ** 53, 2.0 ** 51 + 0.5, -0.5, -1e-300,
+               -0.9999999999999999, 0.9999999999999999, 0.25, -1.5, 1.5]
+    edge_lo = [0.0, -0.0, 1e-17, -1e-17, 2.0 ** -60, -2.0 ** -60, 5e-324, -5e-324]
+    grid = np.meshgrid(edge_hi, edge_lo)
+    hi = np.concatenate([p[0] for p in pairs] + [grid[0].ravel(), rng.uniform(-3, 3, 5000)])
+    lo = np.concatenate([p[1] for p in pairs]
+                        + [grid[1].ravel(), rng.uniform(-1, 1, 5000) * 2.0 ** -54])
+    want, got = pair_path_frac(hi, lo), dm.dd_frac(hi, lo)
+    assert _same_bits(got[0], want[0])
+    assert _same_bits(got[1], want[1])
+    assert _same_bits(dm.dd_frac(0.25, -0.0)[1], 0.0)          # lo's -0.0 comes out +0.0
+    for h, l in [(2.5, 0.0), (-0.25, 1e-18), (3.0, -1e-17),     # scalars and broadcasts too
+                 (np.array([1.5, 2.0, -0.5, -1.0]), 0.0), (2.0, np.array([1e-20, -1e-20]))]:
+        want = np.broadcast_arrays(*pair_path_frac(h, l))
+        assert all(_same_bits(a, b) for a, b in zip(dm.dd_frac(h, l), want))
+
+
+@pytest.mark.parametrize("c, t, t_max", [(1.05, 0.5, None), (0.995, 1.0, None),
+                                         (1.45, -3.0, None), (0.75, 1.0, 32.0)])
+def test_rows_are_found_by_arithmetic(c, t, t_max):
+    n_max = 3 * 10 ** 6 + 7
+    table = dm.anchor_table(n_max, c, t, t_max)
+    shifts = dm._anchor_shifts(c, t if t_max is None else t_max, dm._binomials(c))
+    edges = [v for L in range(1, n_max.bit_length() + 1)
+             for v in ((1 << L) - 1, 1 << L, (1 << L) + 1)]
+    n = np.array(sorted({v for v in edges if v <= n_max} | {n_max}), dtype=np.int64)
+    n0, rows = dm._anchors(n, shifts, table.offset)
+    assert np.array_equal(rows, np.searchsorted(table.n0, n0))   # the search, as oracle
+    assert np.array_equal(table.n0[rows], n0)
+
+
+def test_split_product_is_two_prod():
+    table = dm.anchor_table(10 ** 7, 1.05, 0.5)
+    rng = np.random.default_rng(9)
+    j = rng.integers(0, table.n0.size, 5000)
+    k = np.concatenate([[0, 1, 2 ** 26 - 1], rng.integers(0, 2 ** 26, 4997)]).astype(np.float64)
+    want = dm.dd_mul_d(table.d_hi[j], table.d_lo[j], k)      # two_prod with its own split
+    for split in (True, False):
+        got = dm._d1_times(table, j, k, split)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("c, t", [(1.05, 0.5), (0.995, 1e-3), (0.75, -1e-3)])
+def test_both_product_branches_give_the_same_bits(c, t):
+    # n up to 2^24 keeps every k below 2^26 (split rows); one n near 2^52
+    # and a small t widen the call's anchors past 2^26 (the two_prod fallback)
+    shifts = dm._anchor_shifts(c, t, dm._binomials(c))
+    assert shifts[24] <= dm._SPLIT_BITS < shifts[52]
+    rng = np.random.default_rng(4)
+    small = np.sort(rng.integers(1, 2 ** 24, 3 * dm._CHUNK + 11))
+    wide = np.append(small, 2 ** 52 - 12345)
+    assert all(_same_bits(a, b[:-1]) for a, b in zip(scaled(small, c, t), scaled(wide, c, t)))
+    far = 2 ** 52 - np.arange(1, 2000, 7, dtype=np.int64)
+    assert np.max(circle_gap(scaled(far, c, t), oracle(far, c, t))) <= 1e-12

@@ -103,6 +103,13 @@ def test_windows_reject_out_of_range_inputs():
         hb.uvz_windows(1.0, 1.2)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_windows_reject_a_nonfinite_x(x):
+    for entry in (hb.uvz_preconditions, hb.classification_map):
+        with pytest.raises(PreconditionError, match="x must be finite"):
+            entry(x, 1.1)
+
+
 def test_window_values_at_the_reference_point():
     w = hb.uvz_windows(2 ** 40, 1.2)
     assert w.U == pytest.approx(2.0 ** (-10 + 40 * (56 - 38 * 1.2) / 171), rel=1e-12)

@@ -208,7 +208,7 @@ def test_rhs_main_at_a_prime_x(x):
                                     (7.0, 7.0)])
 def test_step_integral_matches_mpmath(gamma, lo, hi):
     mpmath = pytest.importorskip("mpmath")
-    got = sums._step_integral(np.array([lo]), hi, gamma)[0]
+    got = sums._step_integral(np.array([lo]), hi, gamma, np.power([lo], gamma - 1.0))[0]
     with mpmath.workdps(40):
         g = mpmath.mpf(gamma)
         pts = [mpmath.mpf(lo)] + [mpmath.mpf(10) ** k for k in range(1, 8)

@@ -25,6 +25,14 @@ def test_build_rejects_bad_degree():
             vaaler.build_coefficients(H)
 
 
+def test_fejer_series_reject_bad_degree():
+    for H in (0, -1, 2.5, 10 ** 9):
+        with pytest.raises(PreconditionError, match="1 <= H"):
+            vaaler.fejer_closed_form(0.3, H)
+        with pytest.raises(PreconditionError, match="1 <= H"):
+            vaaler.naive_fejer_psi(0.3, H)
+
+
 def test_coefficient_shapes_and_b0():
     for H in (1, 7, 64):
         co = vaaler.build_coefficients(H)
