@@ -35,13 +35,13 @@ call, and a call without one builds it from its own n; either way the values
 are the same, bit for bit.  No anchor is searched for: a walk's table
 holds, per bit length L, the anchors 2^(L-1) + i 2^s(L), so n's row is
 offset[L] + (n >> s(L)), and a call's own table indexes its rows as it
-builds them.  The table also keeps Dekker's split of D1's high part, so
-while k = n - n0 < 2^26 the exact product D1_hi k needs no split per
-element.  dd_frac takes {x} in one quick_two_sum where hi - floor(hi) is
-exact (Sterbenz), the pair path only where hi is integral or in (-1, 0);
-each of the three gives the bits it replaces.  Passing t_max sizes the
-anchors for a larger |t|, so one pair {t n^c} serves every multiple h t n^c
-with |h t| <= |t_max| (numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a
+builds them.  No anchor is wider than 2^26, so each k = n - n0 is its own
+Dekker half and the exact D1_hi k takes D1_hi's split from the table.
+dd_frac's value is {x} in [0, 1): one quick_two_sum where hi - floor(hi) is
+exact (Sterbenz), the pair path only where hi is integral or in (-1, 0),
+and no range guard after either.  Passing t_max sizes the anchors for a
+larger |t|, so one pair {t n^c} serves every multiple h t n^c with
+|h t| <= |t_max| (numerics.frac_pair).  c = 1/2 takes dd_sqrt_int, a
 correctly rounded square root with one exact Newton residual, exact at
 perfect squares.
 """
@@ -153,7 +153,10 @@ def dd_floor(xhi, xlo):
 
 
 def dd_frac(xhi, xlo):
-    """{x} in [0, 1); exact 0.0 for integer pairs.
+    """{x} of a pair x (hi = fl(hi + lo)) as a pair whose value lies in [0, 1),
+    with hi in [0, 1]; exact 0.0 for integer pairs.  The floor is exact, so hi
+    reaches 1.0 only where the value lies within 2^-54 of 1, and then lo < 0:
+    dd_frac(2.0, -1e-20) is (1.0, -1e-20).  No guard acts on hi alone.
 
     Where hi is not an integer and hi >= 0 or hi <= -1, f = hi - floor(hi)
     is exact: floor(hi) is 0 or lies within a factor 2 of hi (Sterbenz).
@@ -171,9 +174,6 @@ def dd_frac(xhi, xlo):
     if pair.any():
         phi, plo = (np.broadcast_to(v, rhi.shape)[pair] for v in (xhi, xlo))
         rhi[pair], rlo[pair] = dd_add(phi, plo, *dd_neg(*dd_floor(phi, plo)))
-    # guard the half-open range against rounding at either end
-    rhi[rhi >= 1.0] -= 1.0
-    rhi[rhi < 0.0] += 1.0
     return rhi, rlo
 
 
@@ -323,10 +323,11 @@ def _anchor_shifts(c: float, t: float, binom: list) -> np.ndarray:
     r = k / n0 < 2^(s - L + 1) <= 1/2 and |A| = |t| n0^c < |t| 2^(cL).  For
     0 < c <= 2 the |binom(c, j)| do not increase with j >= 2, so any tail of
     g from r^j on is at most 2 |binom(c, j)| r^j.  s is the largest width with
-    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS.  Both bounds
-    grow with L (slopes 1 - c/2 and 1 - c/9), so s never decreases with L.
-    For c = 1/2, 1 or 2 dd_pow_int has a cheap path exact at perfect powers,
-    and s = 0.
+    |A g(r)| <= 2^_CORR_BITS and |A| * tail <= 2^_TRUNC_BITS, and at most
+    _SPLIT_BITS = 26, so that k < 2^26 is its own high half in Dekker's split
+    (_d1_times).  Both bounds grow with L (slopes 1 - c/2 and 1 - c/9), so s
+    never decreases with L.  For c = 1/2, 1 or 2 dd_pow_int has a cheap path
+    exact at perfect powers, and s = 0.
     """
     bits = np.arange(65.0)
     if c in (0.5, 1.0, 2.0):
@@ -335,7 +336,7 @@ def _anchor_shifts(c: float, t: float, binom: list) -> np.ndarray:
     head = bits - 1.0 + (_CORR_BITS - _log2(2.0 * abs(binom[0]) * at) - c * bits) / 2.0
     tail = (bits - 1.0 + (_TRUNC_BITS - _log2(2.0 * abs(binom[-1]) * at) - c * bits)
             / (_TAYLOR_J + 1))
-    s = np.minimum(np.minimum(head, tail), np.clip(bits - 2.0, 0.0, 52.0))
+    s = np.minimum(np.minimum(head, tail), np.clip(bits - 2.0, 0.0, _SPLIT_BITS))
     return np.maximum(np.floor(s), 0.0).astype(np.int64)
 
 
@@ -344,11 +345,11 @@ class AnchorTable(NamedTuple):
 
     Built for one (c, t, width) and every n <= n_max: anchor_table for a
     whole walk, or dd_scaled_frac from the n of one call.  d_split holds
-    Dekker's halves of d_hi (two_prod's split of its first factor).  In a
-    walk's table the anchors of bit length L run from 2^(L-1) in steps of
-    2^s(L), so n of bit length L finds its row at offset[L] + (n >> s(L));
-    a call's own table has no offset (None), its rows being indexed by the
-    call.
+    Dekker's halves of d_hi (two_prod's split of its first factor), which
+    every product D1 k uses, k being below 2^26.  In a walk's table the
+    anchors of bit length L run from 2^(L-1) in steps of 2^s(L), so n of bit
+    length L finds its row at offset[L] + (n >> s(L)); a call's own table has
+    no offset (None), its rows being indexed by the call.
     """
 
     c: float
@@ -434,22 +435,18 @@ def _own_table(flat: np.ndarray, shifts: np.ndarray, c: float, t: float, width: 
     return _table(distinct, c, t, width, top, None), rows
 
 
-def _d1_times(table: AnchorTable, j: np.ndarray, k: np.ndarray, split: bool):
+def _d1_times(table: AnchorTable, j: np.ndarray, k: np.ndarray):
     """D1 k at rows j as a pair, bit for bit dd_mul_d(d_hi, d_lo, k).
 
-    With split, every k is an integer below 2^_SPLIT_BITS and so its own high
-    half in Dekker's split: two_prod(d_hi, k) takes d_hi's halves from the
-    table, and its terms with k's low half, products with 0.0, are dropped,
-    which leaves every bit as it was: the partial sums they join are never
-    -0.0 (x - x rounds to +0.0), and adding a zero to such a sum changes
-    nothing.
+    Every k is an integer below 2^_SPLIT_BITS and so its own high half in
+    Dekker's split: two_prod(d_hi, k) takes d_hi's halves from the table,
+    and its terms with k's low half, products with 0.0, are dropped, which
+    leaves every bit as it was: the partial sums they join are never -0.0
+    (x - x rounds to +0.0), and adding a zero to such a sum changes nothing.
     """
-    dh, dl = table.d_hi[j], table.d_lo[j]
-    if not split:
-        return dd_mul_d(dh, dl, k)
-    p = dh * k
+    p = table.d_hi[j] * k
     e = (table.d_split[0][j] * k - p) + table.d_split[1][j] * k
-    return quick_two_sum(p, e + dl * k)
+    return quick_two_sum(p, e + table.d_lo[j] * k)
 
 
 def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
@@ -471,9 +468,9 @@ def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
     in the call's own table, the running count of new anchors on ascending
     n, else np.unique's inverse.  With a table given, the chunk is all that
     is held besides the two outputs.  The constant and linear terms are pair
-    arithmetic (D1 k is exact up to the pair's rounding; while every s is at
-    most 26, k is its own Dekker half and two_prod(D1_hi, k) takes D1_hi's
-    halves from the table), only A_hi g(r) with j <= J = 8 is float64
+    arithmetic (D1 k is exact up to the pair's rounding; s is at most 26, so
+    k is its own Dekker half and two_prod(D1_hi, k) takes D1_hi's halves
+    from the table), only A_hi g(r) with j <= J = 8 is float64
     Horner, and the chunk's t n^c pair goes straight to dd_frac, one
     quick_two_sum for all but integral or (-1, 0) hi, so no full-size t n^c
     pair is held.  The second value is max |t n^c| (its hi part), for the
@@ -508,8 +505,7 @@ def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
         raise PreconditionError(f"anchor table for (c, t, t_max) = {table[:3]}, "
                                 f"n <= {table.n_max} does not serve ({c}, {t}, {width}), "
                                 f"n <= {top}")
-    widest = int(shifts[top.bit_length()])
-    anchored = widest > 0                            # s grows with L: some s > 0
+    anchored = shifts[top.bit_length()] > 0          # s grows with L: some s > 0
     rows = None
     if anchored and table is None:
         table, rows = _own_table(flat, shifts, c, t, width, top)
@@ -525,8 +521,7 @@ def dd_scaled_frac(n, c: float, t: float, t_max: float | None = None,
             g = binom[_TAYLOR_J - 2]
             for b in binom[_TAYLOR_J - 3::-1]:
                 g = g * r + b
-            lin_hi, lin_lo = dd_add_d(*_d1_times(table, j, k, widest <= _SPLIT_BITS),
-                                      ah * (g * r * r))
+            lin_hi, lin_lo = dd_add_d(*_d1_times(table, j, k), ah * (g * r * r))
             hi, lo = dd_add(ah, table.a_lo[j], lin_hi, lin_lo)
         else:
             hi, lo = dd_mul_d(*dd_pow_int(m, c), t)

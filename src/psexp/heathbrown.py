@@ -68,7 +68,7 @@ def hb_identity_value(n, J, z):
     if J not in (2, 3):
         raise PreconditionError("precondition: J must be 2 or 3")
     zf = float(z) * (1.0 + 1e-12)
-    if zf ** J < n:
+    if not zf ** J >= n:                     # a NaN z fails too
         raise PreconditionError(
             f"precondition: identity needs n <= z^J, got n={n}, z^{J}={float(z)**J:g}"
         )
@@ -279,6 +279,8 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
     if variant not in ("SI", "SIprime", "SII"):
         raise PreconditionError(f"precondition: unknown variant {variant!r}")
     H = numerics.check_height(H)
+    if not isinstance(k, (int, np.integer)):
+        raise PreconditionError(f"precondition: k must be an integer, got {k!r}")
     if box.M1 * box.L1 > ML_CAP:
         raise ScaleError(
             f"scale: box {box.M1} x {box.L1} exceeds the direct cap {ML_CAP:g}"

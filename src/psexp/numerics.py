@@ -117,16 +117,9 @@ def frac(y) -> float:
     yf = float(y)
     if not math.isfinite(yf):
         raise PreconditionError(f"frac of non-finite value {yf}")
+    v = yf - math.floor(yf)
     # y - floor(y) rounds up to 1.0 when y sits just below an integer
-    return _wrap_unit(yf - math.floor(yf))
-
-
-def _wrap_unit(v: float) -> float:
-    if v < 0.0:
-        v += 1.0
-    if v >= 1.0:
-        v = 0.0
-    return v
+    return 0.0 if v >= 1.0 else v
 
 
 def psi(y) -> float:
@@ -194,8 +187,7 @@ def phase_mod1_vec(t: float, n: np.ndarray, c: float, table=None) -> np.ndarray:
     if peak >= PHASE_CAP:
         raise PrecisionError(f"precision: max |t * n^c| ~ {peak:.3e} >= 2^70")
     out = np.add(fhi, flo, out=fhi)
-    out[out < 0.0] += 1.0
-    out[out >= 1.0] = 0.0
+    out[out >= 1.0] = 0.0                    # fhi + flo rounds to 1.0 within 2^-54 of it
     return out
 
 

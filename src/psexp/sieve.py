@@ -239,8 +239,6 @@ def _exact_integer_power(m: int, gamma: float):
     """
     g = _gamma_as_dyadic(gamma)
     s = g.denominator.bit_length() - 1     # denominator is 2^s, numerator odd
-    if s == 0:
-        return m ** g.numerator
     if s > 6:
         # a perfect 2^s-th power is >= 2^(2^s) >= 2^128, beyond any table
         return 1 if m == 1 else None

@@ -79,8 +79,8 @@ def second_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) sqrt(lam) + 1/sqrt(lam)); needs lam > 0."""
     if not (lam > 0 and math.isfinite(lam)):
         raise PreconditionError(f"second-derivative test needs lam > 0, got {lam}")
-    if length < 0:
-        raise PreconditionError(f"interval length must be >= 0, got {length}")
+    if not (0 <= length < math.inf):
+        raise PreconditionError(f"interval length must be finite and >= 0, got {length}")
     return _C * (length * math.sqrt(lam) + 1.0 / math.sqrt(lam))
 
 
@@ -88,8 +88,8 @@ def third_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) lam^(1/6) + lam^(-1/3)); needs lam > 0."""
     if not (lam > 0 and math.isfinite(lam)):
         raise PreconditionError(f"third-derivative test needs lam > 0, got {lam}")
-    if length < 0:
-        raise PreconditionError(f"interval length must be >= 0, got {length}")
+    if not (0 <= length < math.inf):
+        raise PreconditionError(f"interval length must be finite and >= 0, got {length}")
     return _C * (length * lam ** (1.0 / 6.0) + lam ** (-1.0 / 3.0))
 
 
@@ -133,12 +133,12 @@ def square_out_check(z: np.ndarray, Q: int, rel_tol: float = 1e-6):
     the size of the imaginary part of the symmetrized correlation sum, which
     is zero in exact arithmetic.
     """
+    if not (isinstance(Q, (int, np.integer)) and 1 <= Q):
+        raise PreconditionError(f"need integer Q >= 1, got {Q!r}")
     z = np.asarray(z, dtype=np.complex128)
     N = z.size
     if N == 0:
         return 0.0, 0.0, True, 0.0
-    if not (isinstance(Q, (int, np.integer)) and 1 <= Q):
-        raise PreconditionError(f"need integer Q >= 1, got {Q!r}")
 
     lhs = abs(z.sum()) ** 2
     # full autocorrelation: corr[N-1+q] = sum_n z[n+q] conj(z[n])

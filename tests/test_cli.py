@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psexp import cli, sieve, sums, vaaler
+from psexp import cli, exponents, heathbrown, sieve, sums, vaaler, vdc
 from psexp.cli import RunConfig
 from psexp.errors import PreconditionError
 from psexp.numerics import Parameters
@@ -284,6 +284,49 @@ def test_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     code = run(["vaaler", "--H", "10", "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("invariant failure:")
+
+
+def _break_theorem(monkeypatch):
+    # a negative identity tolerance and a flagged main-term pair: both trend checks fail
+    monkeypatch.setattr(sums.DecompositionReport, "tolerance", property(lambda self: -1.0))
+    pair = sums.MainTermPair
+    monkeypatch.setattr(sums, "MainTermPair", lambda *fields: pair(*fields[:3], True))
+
+
+def _break_region(monkeypatch):
+    # x^1 in the final catalogue beats gamma at every point inside the condition
+    cats = exponents.reference_catalogues()
+    cats["gamma5_final"].add(exponents.term(1, label="Z1"))
+    monkeypatch.setattr(exponents, "reference_catalogues", lambda: cats)
+
+
+@pytest.mark.parametrize("argv, breaks, messages", [
+    (["theorem", "--x", "1000"], _break_theorem,
+     ("decomposition gap", "main-term methods differ")),
+    (["region", "--grid-step", "1/40"], _break_region, ("dominance failures at",)),
+    (["vdc"], lambda mp: mp.setattr(vdc, "RATIO_CEILING", 0.0), ("vdc sweep failed",)),
+    (["hb", "--x", "2000"], lambda mp: mp.setattr(heathbrown, "SWEEP_TOL", -1.0),
+     ("hb failed",)),
+    (["suite"], lambda mp: mp.setattr(vdc, "RATIO_CEILING", 0.0),
+     ("suite failures: vdc-ratios",)),
+], ids=["theorem", "region", "vdc", "hb", "suite"])
+def test_each_command_exits_3_on_its_invariant_failure(tmp_path, capsys, monkeypatch, argv,
+                                                        breaks, messages):
+    breaks(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure:") and all(m in err for m in messages)
+
+
+def test_an_uncertifiable_floor_exits_1(tmp_path, capsys, monkeypatch):
+    # 4^gamma = 2 + 3.2e-10 sits near an integer, so the walk to x = 100 certifies
+    # {(3 + 1)^gamma}; a one-step 16-bit ladder cannot
+    argv = ["theorem", "--x", "100", "--gamma", "0.5000000001164153", "--d", "1", "--a", "0",
+            "--allow-outside", "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 0
+    monkeypatch.setattr(sieve, "_CERTIFY_BITS", (16,))
+    assert run(argv) == 1
+    assert "boundary: cannot certify floor(4^0.5000000001164153)" in capsys.readouterr().err
 
 
 def test_vdc_sweep_csv(tmp_path):

@@ -1,6 +1,7 @@
 """The fused anchored kernel dd_scaled_frac against dd_pow_int and mpmath."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -218,17 +219,15 @@ def test_a_table_serves_only_its_own_parameters():
 
 def pair_path_frac(xhi, xlo):
     """{x} by the pair subtraction x - floor(x) for every element: dd_frac as it
-    was before its one-step path, kept here as an independent oracle."""
+    was before its one-step path, less the hi-only range guards, kept here as an
+    independent oracle."""
     fhi = np.floor(xhi)
     flo = np.where(xhi == fhi, np.floor(xlo), 0.0)
     fhi, flo = dm.quick_two_sum(fhi, flo)
     s1, s2 = dm.two_sum(xhi, -fhi)
     t1, t2 = dm.two_sum(xlo, -flo)
     s1, s2 = dm.quick_two_sum(s1, s2 + t1)
-    rhi, rlo = dm.quick_two_sum(s1, s2 + t2)
-    rhi = np.where(rhi >= 1.0, rhi - 1.0, rhi)
-    rhi = np.where(rhi < 0.0, rhi + 1.0, rhi)
-    return rhi, rlo
+    return dm.quick_two_sum(s1, s2 + t2)
 
 
 def _same_bits(a, b):
@@ -236,20 +235,28 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_frac_is_the_pair_subtraction_bit_for_bit():
+def _frac_grid():
+    """Kernel outputs, an edge grid and random pairs: (hi, lo) arrays."""
     rng = np.random.default_rng(3)
     pairs = [oracle(rng.integers(1, 2 ** 40, 20_000), c, t)
              for c, t in [(1.05, 0.5), (0.995, -1.0), (1.45, -3.0), (0.75, 1e-3), (1.9, 1e4),
                           (0.5, -2.0), (1.0, -0.5)]]
-    # integral hi, hi in (-1, 0), lo = +-0.0, |hi| near 2^52, each against lo of either sign
+    # integral hi, hi in (-1, 0), lo = +-0.0, |hi| near 2^52, hi below |lo| (whose sum
+    # is negative on the one-step path), each against lo of either sign
     edge_hi = [0.0, -0.0, 1.0, -1.0, 5.0, -5.0, 2.0 ** 52, -2.0 ** 52, 2.0 ** 52 - 0.5,
                -(2.0 ** 52 - 0.5), 2.0 ** 53, 2.0 ** 51 + 0.5, -0.5, -1e-300,
-               -0.9999999999999999, 0.9999999999999999, 0.25, -1.5, 1.5]
+               -0.9999999999999999, 0.9999999999999999, 0.25, -1.5, 1.5, 2.0 ** -60,
+               -2.0 ** -60]
     edge_lo = [0.0, -0.0, 1e-17, -1e-17, 2.0 ** -60, -2.0 ** -60, 5e-324, -5e-324]
     grid = np.meshgrid(edge_hi, edge_lo)
     hi = np.concatenate([p[0] for p in pairs] + [grid[0].ravel(), rng.uniform(-3, 3, 5000)])
     lo = np.concatenate([p[1] for p in pairs]
                         + [grid[1].ravel(), rng.uniform(-1, 1, 5000) * 2.0 ** -54])
+    return hi, lo
+
+
+def test_frac_is_the_pair_subtraction_bit_for_bit():
+    hi, lo = _frac_grid()
     want, got = pair_path_frac(hi, lo), dm.dd_frac(hi, lo)
     assert _same_bits(got[0], want[0])
     assert _same_bits(got[1], want[1])
@@ -280,20 +287,51 @@ def test_split_product_is_two_prod():
     j = rng.integers(0, table.n0.size, 5000)
     k = np.concatenate([[0, 1, 2 ** 26 - 1], rng.integers(0, 2 ** 26, 4997)]).astype(np.float64)
     want = dm.dd_mul_d(table.d_hi[j], table.d_lo[j], k)      # two_prod with its own split
-    for split in (True, False):
-        got = dm._d1_times(table, j, k, split)
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    got = dm._d1_times(table, j, k)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_frac_value_is_exact_and_in_the_unit_interval():
+    # for pairs (hi = fl(hi + lo)): the exact value is x - floor(x) to 2^-104 and lies
+    # in [0, 1); hi lies in [0, 1], and reaches 1.0 only with a negative lo
+    rng = np.random.default_rng(8)
+    wide = rng.uniform(-4.0, 4.0, 4000) * 2.0 ** rng.integers(-60, 52, 4000)
+    near = np.rint(wide[:2000])                      # just below and above integers
+    grid_hi, grid_lo = _frac_grid()
+    hi = np.concatenate([grid_hi, wide, near])
+    lo = np.concatenate([grid_lo, rng.uniform(-0.5, 0.5, 4000) * np.spacing(wide),
+                         rng.uniform(-0.5, 0.5, 2000) * 2.0 ** -60])
+    keep = hi + lo == hi
+    hi, lo = hi[keep], lo[keep]
+    fhi, flo = dm.dd_frac(hi, lo)
+    assert np.all((fhi >= 0.0) & (fhi <= 1.0)) and np.all(flo[fhi == 1.0] < 0.0)
+    for xh, xl, rh, rl in zip(hi.tolist(), lo.tolist(), fhi.tolist(), flo.tolist()):
+        x, value = Fraction(xh) + Fraction(xl), Fraction(rh) + Fraction(rl)
+        assert 0 <= value < 1 and abs(value - (x - math.floor(x))) <= Fraction(1, 2 ** 104)
+    assert dm.dd_frac(2.0, -1e-20) == (1.0, -1e-20)
+    assert dm.dd_frac(-1e-300, 0.0) == (1.0, -1e-300)
+
+
+def test_anchor_width_is_capped_at_the_split():
+    # c over (0, 2] and |t_max| from 1e-6 to T_CAP: every k = n - n0 stays below 2^26
+    widest = {int(dm._anchor_shifts(c, w, dm._binomials(c)).max())
+              for c in np.linspace(0.01, 2.0, 200).tolist() + [0.995, 1.05]
+              for w in np.concatenate([np.geomspace(1e-6, T_CAP, 25), [-1e-3, -T_CAP]])}
+    assert max(widest) == dm._SPLIT_BITS == 26
 
 
 @pytest.mark.parametrize("c, t", [(1.05, 0.5), (0.995, 1e-3), (0.75, -1e-3)])
-def test_both_product_branches_give_the_same_bits(c, t):
-    # n up to 2^24 keeps every k below 2^26 (split rows); one n near 2^52
-    # and a small t widen the call's anchors past 2^26 (the two_prod fallback)
+def test_a_wide_n_moves_no_other_bits_and_stays_accurate_near_2_52(c, t):
+    # n up to 2^24 alone and with one n near 2^52, where the anchor width reaches its
+    # 2^26 cap; the values near 2^52 against dd_pow_int and mpmath
     shifts = dm._anchor_shifts(c, t, dm._binomials(c))
-    assert shifts[24] <= dm._SPLIT_BITS < shifts[52]
+    assert shifts[52] == dm._SPLIT_BITS
     rng = np.random.default_rng(4)
     small = np.sort(rng.integers(1, 2 ** 24, 3 * dm._CHUNK + 11))
     wide = np.append(small, 2 ** 52 - 12345)
     assert all(_same_bits(a, b[:-1]) for a, b in zip(scaled(small, c, t), scaled(wide, c, t)))
     far = 2 ** 52 - np.arange(1, 2000, 7, dtype=np.int64)
-    assert np.max(circle_gap(scaled(far, c, t), oracle(far, c, t))) <= 1e-12
+    pair = scaled(far, c, t)
+    assert np.max(circle_gap(pair, oracle(far, c, t))) <= 1e-12
+    for i in (0, 100, far.size - 1):
+        assert mp_gap(far[i], c, t, (pair[0][i], pair[1][i])) <= 1e-12

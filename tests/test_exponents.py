@@ -250,6 +250,35 @@ def test_region_report_on_a_coarse_grid():
     assert any(not r.dominant_lt_gamma for r in outside)
 
 
+def _final_catalogue(monkeypatch, terms):
+    """Make reference_catalogues() return its own sets with gamma5_final = terms."""
+    cats = dict(ex.reference_catalogues(), gamma5_final=ex.TermSet(terms))
+    monkeypatch.setattr(ex, "reference_catalogues", lambda: cats)
+
+
+def test_region_report_flags_a_catalogue_that_breaks_the_claim(monkeypatch):
+    # x^1 beats gamma everywhere: inside the condition it is the dominant term, so
+    # each inside point is a dominance failure and a label mismatch
+    final = ex.reference_catalogues()["gamma5_final"].terms()
+    _final_catalogue(monkeypatch, final + [ex.term(1, label="Z1")])
+    rep = ex.region_report(F(1, 40))
+    inside = [(r.c, r.gamma) for r in rep.rows if r.condition]
+    assert inside and rep.condition_mismatches == []
+    assert rep.dominance_failures == [(c, g, F(1)) for c, g in inside]
+    assert rep.label_mismatches == [(c, g, ("Z1",)) for c, g in inside]
+    found = rep.findings()
+    assert [f["status"] for f in found] == ["failed"] * len(inside) + ["differs"] * len(inside)
+    assert found[0]["dominant_value"] == "1" and found[-1]["labels"] == ["Z1"]
+    # a claimed exponent other than the condition's: the two disagree
+    monkeypatch.setattr(ex, "CLAIMED_X_EXPONENT", final[0].x_exp)
+    rep = ex.region_report(F(1, 40))
+    assert not rep.equivalence_ok and rep.condition_mismatches
+    mismatch = rep.findings()[0]
+    c, g = rep.condition_mismatches[0]
+    assert mismatch == {"term": "claimed-bound < gamma", "status": "mismatch",
+                        "witness_point": {"c": str(c), "gamma": str(g)}}
+
+
 def test_region_report_rejects_bad_step():
     with pytest.raises(PreconditionError):
         ex.region_report(0)
@@ -307,3 +336,20 @@ def test_derivation_findings_are_serializable(derivation, tmp_path):
     dominated = next(d for d in data if d["status"] == "dominated")
     assert dominated["reference"] == "T20"
     assert dominated["witness_point"] is not None
+
+
+def test_derivation_reports_unmatched_and_extra_terms(monkeypatch):
+    # drop the claimed term T26 from the reference and add x^2, which nothing computed
+    # reaches: T26's computed twin is extra, dominated by x^2, and x^2 is unmatched
+    final = ex.reference_catalogues()["gamma5_final"].terms()
+    big = ex.term(2, label="Z1")
+    _final_catalogue(monkeypatch, [t for t in final if t.label != "T26"] + [big])
+    rep = ex.derive_gamma5_catalogue()
+    assert rep.reference_unmatched == [("Z1", big)]
+    ((via, extra, by),) = rep.computed_extra
+    assert extra.x_exp == ex.CLAIMED_X_EXPONENT and by == "Z1"
+    found = rep.findings()
+    assert {"term": str(big), "status": "unmatched", "reference": "Z1",
+            "witness_point": None} in found
+    assert {"term": str(extra), "status": "computed-extra", "via": via, "dominated_by": "Z1",
+            "witness_point": None} in found

@@ -49,6 +49,8 @@ def test_identity_rejects_bad_arguments():
         hb.hb_identity_value(10, 4, 2.0)
     with pytest.raises(PreconditionError):
         hb.hb_identity_value(100, 3, 2.0)    # 2^3 < 100
+    with pytest.raises(PreconditionError):
+        hb.hb_identity_value(7, 3, math.nan)  # nan^3 < 7 is False too
 
 
 def test_identity_sweep_j3():
@@ -269,10 +271,12 @@ def test_type_sums_validates_input():
         hb.type_sums(BOX, 2, PARAMS, variant="SII", b_coeffs=np.ones(3))
     with pytest.raises(PreconditionError):
         hb.type_sums(BOX, 2, PARAMS, x1=100.0)
+    with pytest.raises(PreconditionError):
+        hb.type_sums(BOX, 2, PARAMS, k=1.5)             # int(k) would take k = 1
     assert hb.type_sums(BOX, 0, PARAMS) == 0.0
     # checked before the H = 0 and empty-window shortcuts
     for kw in ({"a_coeffs": np.ones(3)}, {"variant": "SII", "b_coeffs": np.ones(3)},
-               {"x1": 100.0}):
+               {"x1": 100.0}, {"k": 1.5}):
         with pytest.raises(PreconditionError):
             hb.type_sums(BOX, 0, PARAMS, **kw)
     far = Parameters(x=1e4, c=1.1, gamma=0.9, t=0.5, d=3, a=1)

@@ -28,8 +28,9 @@ def test_bounds_reject_degenerate_lambda():
             fn(10.0, 0.0)
         with pytest.raises(PreconditionError):
             fn(10.0, -1.0)
-        with pytest.raises(PreconditionError):
-            fn(-1.0, 0.5)
+        for length in (-1.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                fn(length, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,9 @@ def test_square_out_validates_input():
     with pytest.raises(PreconditionError):
         vdc.square_out_check(z, 2.5)
     assert vdc.square_out_check(np.zeros(0, dtype=complex), 5) == (0.0, 0.0, True, 0.0)
+    for Q in (0, -1, 2.5):                 # checked before the empty-z shortcut
+        with pytest.raises(PreconditionError):
+            vdc.square_out_check(np.zeros(0, dtype=complex), Q)
 
 
 @settings(max_examples=80, deadline=None)
