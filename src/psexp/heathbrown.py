@@ -200,14 +200,12 @@ def uvz_preconditions(x, c):
         "uzz_le_x": (128 * w.U * w.Z ** 2 <= w.x, w.x / (128 * w.U * w.Z ** 2)),
         "v_cubed_ge_x": (2 ** 18 * w.x <= w.V ** 3, w.V ** 3 / (2 ** 18 * w.x)),
     }
-    cf = float(c)
-    def pow2_or_inf(e):
-        return math.inf if e <= 0 else (math.inf if e * math.log10(2) > 307
-                                        else 2.0 ** e)
+    def pow2_or_inf(e):                  # e > 0 on the whole c range of uvz_windows
+        return math.inf if e * math.log10(2) > 307 else 2.0 ** e
     thresholds = {
-        "u_ge_2": pow2_or_inf(11 * 171 / (56 - 38 * cf) if 56 - 38 * cf > 0 else 0),
-        "v_le_z": pow2_or_inf(7 * 342 / (38 * cf + 1)),
-        "z_le_half_x": pow2_or_inf(342 / (227 - 38 * cf) if 227 - 38 * cf > 0 else 0),
+        "u_ge_2": pow2_or_inf(11 * 171 / (56 - 38 * w.c)),
+        "v_le_z": pow2_or_inf(7 * 342 / (38 * w.c + 1)),
+        "z_le_half_x": pow2_or_inf(342 / (227 - 38 * w.c)),
     }
     chain_ok = (w.U >= 2 and w.U < w.V and w.V <= w.Z and w.Z <= w.x / 2)
     names = sorted((("U", w.U), ("V", w.V), ("Z", w.Z)), key=lambda kv: kv[1])
@@ -265,34 +263,27 @@ def write_classification_csv(path, rows, header_comments=()):
                        ([repr(v) if isinstance(v, float) else v for v in r] for r in rows))
 
 
-def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
+def type_sums(box, H, params, k, variant="SII", a_coeffs=None, b_coeffs=None,
               x1=None):
     """Direct evaluation of a bilinear sum over the box, windowed to (x/2, x1].
 
     Sum over 1 <= |h| <= H of |sum_m a(m) sum_l w(l) e(t(ml)^c + h(ml)^g
     + k ml / d)| with w(l) = 1 for 'SI', log l for 'SIprime', b(l) for 'SII'.
-    Every argument is checked before the H = 0 and empty-window shortcuts.
-    The (m, l) pairs with n = ml in the window are gathered once, with
-    weights a(m) w(l), into one block for sums.weighted_h_sums with the base
-    phase sums.twisted_phase, in the h order of sums.gamma10_sum.
+    H, the required k and x1 (x by default) take sums.gamma10_sum's rules, and
+    the window comes from sums.twisted_window.  Every argument is checked
+    before the H = 0 and empty-window shortcuts.  The (m, l) pairs with n = ml
+    in the window are gathered once, with weights a(m) w(l), into one block
+    for sums.weighted_h_sums with the base phase sums.twisted_phase, in the h
+    order of sums.gamma10_sum.
     """
     if variant not in ("SI", "SIprime", "SII"):
         raise PreconditionError(f"precondition: unknown variant {variant!r}")
     H = numerics.check_height(H)
-    if not isinstance(k, (int, np.integer)):
-        raise PreconditionError(f"precondition: k must be an integer, got {k!r}")
+    n_lo, n_hi = sums.twisted_window(params, params.x if x1 is None else x1, k)
     if box.M1 * box.L1 > ML_CAP:
-        raise ScaleError(
-            f"scale: box {box.M1} x {box.L1} exceeds the direct cap {ML_CAP:g}"
-        )
-    x = float(params.x)
-    x1 = x if x1 is None else float(x1)
-    if not x / 2 <= x1 <= x:
-        raise PreconditionError("precondition: need x/2 <= x1 <= x")
+        raise ScaleError(f"scale: box {box.M1} x {box.L1} exceeds the direct cap {ML_CAP:g}")
     ms = np.arange(box.M + 1, box.M1 + 1, dtype=np.int64)
-    if a_coeffs is None:
-        a_coeffs = np.ones(len(ms))
-    a_coeffs = np.asarray(a_coeffs, dtype=float)
+    a_coeffs = np.ones(len(ms)) if a_coeffs is None else np.asarray(a_coeffs, dtype=float)
     if len(a_coeffs) != len(ms):
         raise PreconditionError("precondition: a(m) length must match the box")
     ls_all = np.arange(box.L + 1, box.L1 + 1, dtype=np.int64)
@@ -304,8 +295,8 @@ def type_sums(box, H, params, k=0, variant="SII", a_coeffs=None, b_coeffs=None,
         w_l = np.log(ls_all.astype(float))
     else:
         w_l = np.ones(len(ls_all))
-    n_lo = max(math.floor(x / 2), (box.M + 1) * (box.L + 1) - 1)     # exclusive
-    n_hi = min(math.floor(x1), box.M1 * box.L1)                     # inclusive
+    n_lo = max(n_lo, (box.M + 1) * (box.L + 1) - 1)     # exclusive
+    n_hi = min(n_hi, box.M1 * box.L1)                   # inclusive
     if H == 0 or n_hi <= n_lo:
         return 0.0
 

@@ -192,9 +192,9 @@ def phase_mod1_vec(t: float, n: np.ndarray, c: float, table=None) -> np.ndarray:
 
 
 def check_height(H) -> int:
-    """H as an int, for the h-loops over 1 <= |h| <= H; H must be an integer >= 0."""
-    if not (isinstance(H, (int, np.integer)) and H >= 0):
-        raise PreconditionError(f"H must be a nonnegative integer, got {H!r}")
+    """H as an int for the h-loops 1 <= |h| <= H: an integer 0 <= H <= T_CAP, the |t| cap."""
+    if not (isinstance(H, (int, np.integer)) and 0 <= H <= T_CAP):
+        raise PreconditionError(f"H must be an integer in [0, {T_CAP:g}], got {H!r}")
     return int(H)
 
 
@@ -203,11 +203,11 @@ def frac_pair(n: np.ndarray, c: float, H: int):
 
     One ddmath.dd_scaled_frac call at t = 1 with the anchors sized for
     |t| = H, so the float64 remainder of each element stays below 2^11 / H
-    and h times the pair's error is at most what a direct
-    phase_mod1_vec(h, n, c) spends.  Raises PrecisionError once H * max n^c
-    reaches PHASE_CAP = 2^70, as that direct call at h = H would.
+    and h times the pair's error is at most what a direct phase_mod1_vec(h,
+    n, c) spends; H goes through check_height.  Raises PrecisionError once
+    H * max n^c reaches PHASE_CAP = 2^70, as that direct call at h = H would.
     """
-    _check_phase_args(float(H), float(c))
+    _check_phase_args(float(check_height(H)), float(c))      # H is the anchors' |t|
     fhi, flo, peak = dm.dd_scaled_frac(check_n(n), float(c), 1.0, t_max=float(H))
     if float(H) * peak >= PHASE_CAP:
         raise PrecisionError(f"precision: H * max n^c ~ {float(H) * peak:.3e} >= 2^70")

@@ -16,16 +16,18 @@ Per slice the walk forms its phase once (e(t p^c) from the (c, t) anchors
 powered once per walk, ddmath.anchor_table; e(t n^c) on a window; the
 twisted {t n^c} + k n / d of Gamma_10) and hands it to each of its sides,
 reporting every side at every checkpoint x bitwise as a walk to that x
-alone would.  Each entry takes its x through _floor_x (finite, at least
-what the sum needs, and within the sieve's cap, before any shortcut), and
-the sieve checks its cap before a walk powers an anchor, so a failed check
-builds nothing.  The prime walk's sides are the
-decomposition (pi_gamma, Gamma_1, Gamma_2), the main term and a _sum_side
-of one term per prime (pi_sum); theorem_trend walks once with the first
-two.  The psi-side adds w(n) (psi(-(n+1)^gamma) - psi(-n^gamma)) z: Gamma_3
-with w = log p, and the Lambda-windows of Gamma_4 and Gamma_5 with
-w = Lambda(n).  The h-side (one accumulator per h) gives Gamma_10
-(gamma10_sum, weighted_lambda_expsum its one-h case) and Gamma_11
+alone would.  Each entry takes its x through _floor_x (finite, at least what
+the sum needs, and within the sieve's cap, before any shortcut) and its H
+through numerics.check_height (an integer 0 <= H <= T_CAP); Gamma_10 and
+heathbrown.type_sums take their required k and their x1 through
+twisted_window, which also gives their window (x/2, x1].  The sieve checks
+its cap before a walk powers an anchor, so a failed check builds nothing.
+The prime walk's sides are the decomposition (pi_gamma, Gamma_1, Gamma_2),
+the main term and a _sum_side of one term per prime (pi_sum); theorem_trend
+walks once with the first two.  The psi-side adds w(n) (psi(-(n+1)^gamma) -
+psi(-n^gamma)) z: Gamma_3 with w = log p, and the Lambda-windows of Gamma_4
+and Gamma_5 with w = Lambda(n).  The h-side (one accumulator per h) gives
+Gamma_10 (gamma10_sum, weighted_lambda_expsum its one-h case) and Gamma_11
 (gamma11_sum); heathbrown.type_sums takes the h-sums of its one gathered
 block from the same weighted_h_sums.
 
@@ -57,7 +59,7 @@ import numpy as np
 from . import sieve
 from .ddmath import anchor_table
 from .errors import PreconditionError
-from .numerics import (PHASE_BUDGET, Parameters, check_height, e_of_frac_vec,
+from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, e_of_frac_vec,
                        frac_pair, frac_times, phase_mod1_vec, weighted_e_sum, write_csv)
 
 BLOCK = 1 << 16
@@ -558,7 +560,8 @@ class Gamma34Report:
 
 
 def gamma34_gap(x: float, params: Parameters) -> Gamma34Report:
-    """Reportable comparison; callers should record, not fail, on a breach."""
+    """Reportable comparison at x >= 2; callers should record, not fail, on a breach."""
+    _floor_x(x, 2, "gamma34_gap x")
     return Gamma34Report(gamma3_sum(x, params), gamma4_sum(x, params), float(x))
 
 
@@ -654,14 +657,20 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
     return 2.0 * float(sum(abs(v) for v in inner))
 
 
-def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
-    """weighted_lambda_expsum(x1, h, params, k) for each h of hs, from one sieve."""
+def twisted_window(params: Parameters, x1: float, k: int) -> tuple:
+    """(floor(x) // 2, floor(x1)), the window x/2 < n <= x1 of Gamma_10 and type_sums,
+    once the one rule passes: k an integer 1 <= k <= d, x1 by _floor_x, x/2 <= x1 <= x."""
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= params.d):
         raise PreconditionError(f"need 1 <= k <= d = {params.d}, got k={k!r}")
     hi = _floor_x(x1, -math.inf, "x1")
-    if x1 > params.x:
-        raise PreconditionError(f"x1 = {x1} exceeds x = {params.x}")
-    lo = math.floor(params.x) // 2
+    if not params.x / 2 <= x1 <= params.x:
+        raise PreconditionError(f"need x/2 <= x1 <= x = {params.x}, got x1 = {x1}")
+    return math.floor(params.x) // 2, hi
+
+
+def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:
+    """weighted_lambda_expsum(x1, h, params, k) for each h of hs, from one sieve."""
+    lo, hi = twisted_window(params, x1, k)
     if hi <= lo or not hs:
         return [0j] * len(hs)
     return _window(lo, hi, 1, 0, _h_side(hs, params.gamma_float),
@@ -674,8 +683,8 @@ def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> com
     No congruence restriction: the character e(k n / d) replaces it.  The
     rational phase (k n mod d) / d is exact.  The one-h case of gamma10_sum.
     """
-    if not isinstance(h, (int, np.integer)):
-        raise PreconditionError(f"h must be an integer, got {h!r}")
+    if not (isinstance(h, (int, np.integer)) and abs(h) <= T_CAP):
+        raise PreconditionError(f"h must be an integer with |h| <= {T_CAP:g}, got {h!r}")
     return _twisted_sums(x1, [int(h)], params, k)[0]
 
 

@@ -41,6 +41,9 @@ def test_runconfig_rejects_unknown_key():
         RunConfig({"bogus": "1"})
     with pytest.raises(PreconditionError):
         RunConfig.parse("bogus=1\n")
+    with pytest.raises(AttributeError, match="bogus"):
+        RunConfig({}).bogus                  # a typed view only for a key
+    assert not hasattr(RunConfig({}), "no_such_key")
 
 
 def test_runconfig_parse_is_lenient_about_layout():
@@ -348,6 +351,18 @@ def test_hb_classification_csv(tmp_path):
     assert len(rows) >= 5
     kinds = {r.split(",")[7] for r in rows}
     assert kinds <= {"type_i", "type_ii", "unclassified"}
+
+
+def test_suite_reports_a_lab_error_as_a_fail_row(capsys, monkeypatch):
+    def refuse(limit):
+        raise PreconditionError("refused")
+
+    monkeypatch.setattr(heathbrown, "identity_sweep", refuse)
+    assert run(["suite"]) == 3
+    out, err = capsys.readouterr()
+    fails = [ln for ln in out.splitlines() if "  FAIL  " in ln]
+    assert fails == ["hb-identity    FAIL  PreconditionError: refused"]
+    assert "suite failures: hb-identity" in err
 
 
 def test_suite_passes(capsys):

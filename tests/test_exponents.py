@@ -28,6 +28,8 @@ def test_affine_is_float_free():
         ex.term(F(1, 2), h=0.25)
     # string rationals pass through Fraction unchanged
     assert ex.AffineExponent("1/2") == ex.AffineExponent(F(1, 2))
+    with pytest.raises(PreconditionError, match="bad rational"):
+        ex.AffineExponent("1/x")
 
 
 def test_term_string_forms():
@@ -73,6 +75,21 @@ def test_term_set_equality_and_sorting():
     a = ex.TermSet([ex.term(1, h=1, label="p"), ex.term(0, label="q")])
     b = ex.TermSet([ex.term(0, label="q2"), ex.term(1, h=1, label="p2")])
     assert a == b
+    assert (a == 3) is False
+    assert repr(a) == "TermSet(2 terms)"
+
+
+def test_numeric_value_refuses_a_term_that_still_depends_on_x_or_h():
+    assert ex.term(0, coef=3).numeric_value() == 3
+    for t in (ex.term(0, h=1), ex.term(F(1, 2))):
+        with pytest.raises(PreconditionError, match="not numeric"):
+            t.numeric_value()
+
+
+def test_int_nthroot_refuses_a_negative_integer():
+    assert ex._int_nthroot(27, 3) == (3, True)
+    with pytest.raises(PreconditionError, match="negative"):
+        ex._int_nthroot(-8, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,16 @@ def test_chain_thresholds_are_ordered_sensibly():
     assert 2.0 ** 180 < th["u_ge_2"] < 2.0 ** 181
 
 
+def test_u_threshold_overflows_to_inf_near_the_top_of_the_c_range():
+    # 56 - 38c -> 0 as c -> 28/19, so the exponent 11 * 171 / (56 - 38c) of the
+    # u_ge_2 threshold passes 307 decimal digits once c > 1.42514
+    assert math.isfinite(hb.uvz_preconditions(1e6, 1.425).thresholds["u_ge_2"])
+    for c in (1.4252, 1.47, math.nextafter(28 / 19, 0.0)):
+        th = hb.uvz_preconditions(1e6, c).thresholds
+        assert th["u_ge_2"] == math.inf
+        assert 1.0 < th["z_le_half_x"] < th["v_le_z"] < math.inf
+
+
 # ---------------------------------------------------------------------------
 # box classification
 
@@ -251,50 +261,51 @@ def test_type_sums_respects_upper_window():
 
 
 def test_type_sums_degenerate_exponent_is_exact():
-    # gamma = 1, t = 0, k = 0: every phase is an integer, so each inner sum
+    # gamma = 1, t = 0, k = d: every phase is an integer, so each inner sum
     # just counts windowed pairs and the total is 2H times that count
     p = Parameters(x=3000.0, c=1.1, gamma=1.0, t=0.0, d=5, a=1)
     pairs = sum(1 for m in range(21, 41) for l in range(31, 61)
                 if 1500 < m * l <= 3000)
-    got = hb.type_sums(BOX, 4, p, k=0, variant="SI")
+    got = hb.type_sums(BOX, 4, p, k=p.d, variant="SI")
     assert got == float(2 * 4 * pairs)
 
 
 def test_type_sums_validates_input():
+    d = PARAMS.d
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, -1, PARAMS)
+        hb.type_sums(BOX, -1, PARAMS, k=d)
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, 2, PARAMS, variant="SIII")
+        hb.type_sums(BOX, 2, PARAMS, k=d, variant="SIII")
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, 2, PARAMS, a_coeffs=np.ones(3))
+        hb.type_sums(BOX, 2, PARAMS, k=d, a_coeffs=np.ones(3))
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, 2, PARAMS, variant="SII", b_coeffs=np.ones(3))
+        hb.type_sums(BOX, 2, PARAMS, k=d, variant="SII", b_coeffs=np.ones(3))
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, 2, PARAMS, x1=100.0)
+        hb.type_sums(BOX, 2, PARAMS, k=d, x1=100.0)
     with pytest.raises(PreconditionError):
         hb.type_sums(BOX, 2, PARAMS, k=1.5)             # int(k) would take k = 1
-    assert hb.type_sums(BOX, 0, PARAMS) == 0.0
+    assert hb.type_sums(BOX, 0, PARAMS, k=d) == 0.0
     # checked before the H = 0 and empty-window shortcuts
     for kw in ({"a_coeffs": np.ones(3)}, {"variant": "SII", "b_coeffs": np.ones(3)},
                {"x1": 100.0}, {"k": 1.5}):
         with pytest.raises(PreconditionError):
-            hb.type_sums(BOX, 0, PARAMS, **kw)
+            hb.type_sums(BOX, 0, PARAMS, **{"k": d, **kw})
     far = Parameters(x=1e4, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
     with pytest.raises(PreconditionError):
-        hb.type_sums(hb.DyadicBox(5, 10, 100, 200), 1, far, a_coeffs=np.ones(3))
+        hb.type_sums(hb.DyadicBox(5, 10, 100, 200), 1, far, k=far.d, a_coeffs=np.ones(3))
 
 
 def test_type_sums_scale_cap():
     big = hb.DyadicBox(4000, 8000, 4000, 8000)
     p = Parameters(x=6.4e7, c=1.1, gamma=0.9, t=0.5, d=1, a=0)
     with pytest.raises(ScaleError):
-        hb.type_sums(big, 1, p)
+        hb.type_sums(big, 1, p, k=p.d)
 
 
 def test_type_sums_empty_window_is_zero():
     # box products all exceed x: nothing survives the (x/2, x1] window
     p = Parameters(x=100.0, c=1.1, gamma=0.9, t=0.5, d=5, a=1)
-    assert hb.type_sums(BOX, 3, p) == 0.0
+    assert hb.type_sums(BOX, 3, p, k=p.d) == 0.0
 
 
 def exact_type_sum(box, H, params, k, a_coeffs, b_coeffs, x1):
@@ -336,7 +347,8 @@ def test_type_sums_match_an_exact_double_loop():
 
 
 def test_type_sums_accepts_numpy_heights():
-    assert hb.type_sums(BOX, np.int64(2), PARAMS) == hb.type_sums(BOX, 2, PARAMS)
-    assert hb.type_sums(BOX, np.int64(0), PARAMS) == 0.0
+    d = PARAMS.d
+    assert hb.type_sums(BOX, np.int64(2), PARAMS, k=d) == hb.type_sums(BOX, 2, PARAMS, k=d)
+    assert hb.type_sums(BOX, np.int64(0), PARAMS, k=d) == 0.0
     with pytest.raises(PreconditionError):
-        hb.type_sums(BOX, np.int64(-1), PARAMS)
+        hb.type_sums(BOX, np.int64(-1), PARAMS, k=d)

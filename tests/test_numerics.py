@@ -38,6 +38,7 @@ def test_parameters_accepts_typical_point():
     dict(x=10.0, c=2.5, gamma=0.9),
     dict(x=10.0, c=1.1, gamma=0.9, d=0),
     dict(x=10.0, c=1.1, gamma=0.9, d=6, a=3),     # gcd(3, 6) = 3
+    dict(x=10.0, c=1.1, gamma=0.9, d=3, a=1.0),
     dict(x=10.0, c=1.1, gamma=0.9, t=2e6),
     dict(x=10.0, c=1.1, gamma=0.9, t=math.nan),
 ])
@@ -167,6 +168,8 @@ def test_kernel_entry_points_refuse_non_integral_n():
         sieve.ps_floor(np.array([11.5]), 0.9)
     with pytest.raises(PreconditionError):
         phase_mod1_vec(0.5, np.array([np.nan]), 1.05)
+    with pytest.raises(PreconditionError, match="integer array"):
+        phase_mod1_vec(0.5, np.array(["3"]), 1.05)
     whole = np.array([2.0, 3.0, 1e6])
     assert phase_mod1_vec(0.5, whole, 1.05).tobytes() == \
         phase_mod1_vec(0.5, whole.astype(np.int64), 1.05).tobytes()
@@ -257,9 +260,9 @@ def test_frac_pair_keeps_the_phase_cap():
 
 def test_check_height_accepts_numpy_integers():
     assert check_height(np.int64(3)) == 3 and type(check_height(np.int64(3))) is int
-    assert check_height(0) == 0
-    for bad in (-1, 2.0, "2", None):
-        with pytest.raises(PreconditionError):
+    assert check_height(0) == 0 and check_height(10 ** 6) == 10 ** 6
+    for bad in (-1, 2.0, "2", None, 10 ** 6 + 1, np.int64(2 * 10 ** 6)):
+        with pytest.raises(PreconditionError, match="H must be"):
             check_height(bad)
 
 
@@ -276,6 +279,12 @@ def test_phase_fixture_verifies_clean():
 def test_phase_fixture_missing_file():
     with pytest.raises(OSError):
         verify_phase_fixture("no_such_fixture.csv")
+
+
+def test_phase_fixture_reports_a_row_over_tolerance(tmp_path):
+    p = tmp_path / "off.csv"
+    p.write_text("t,n,c,frac\n0.5,2,1.0,0.25\n0.5,3,1.0,0.5\n")      # {0.5 * 2} = 0
+    assert verify_phase_fixture(str(p)) == (2, 0.25, [(0.5, 2, 1.0, 0.25, 0.0)])
 
 
 def test_phase_fixture_rejects_empty(tmp_path):

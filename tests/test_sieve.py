@@ -309,6 +309,9 @@ def test_membership_rejects_bad_arguments():
         sieve.is_ps_prime(5, 1.5)
     with pytest.raises(PreconditionError):
         sieve.ps_mask(np.array([0, 3]), 0.9)
+    for gamma in (0.0, -0.5, 1.5):
+        with pytest.raises(PreconditionError, match="0 < gamma <= 1"):
+            sieve.ps_floor(np.array([5]), gamma)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from psexp import ddmath as dm
+from psexp import heathbrown as hb
 from psexp import numerics, sieve, sums
 from psexp.errors import PreconditionError, ScaleError
 from psexp.numerics import (Parameters, e_of, e_of_frac_vec, phase_mod1,
@@ -747,6 +748,53 @@ def test_zero_height_returns_before_sieving(monkeypatch):
         sums.gamma11_sum(p.x, 1.5, p)
 
 
+def test_h_sums_check_their_height_before_work(monkeypatch):
+    # numerics.check_height refuses H past T_CAP = 1e6 in each h-sum, naming H,
+    # before a sieve segment or a {n^gamma} pair is formed; |h| in the one-h case
+    def refuse(*args):
+        raise AssertionError("a pair was formed before H was checked")
+
+    monkeypatch.setattr(sums, "frac_pair", refuse)
+    calls = count_sieves(monkeypatch)
+    p = Parameters(x=6000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    box = hb.DyadicBox(50, 100, 50, 100)
+    for call in (lambda H: sums.gamma11_sum(p.x, H, p),
+                 lambda H: sums.gamma10_sum(p.x, H, p, 1),
+                 lambda H: hb.type_sums(box, H, p, 1)):
+        for H in (2_000_000, np.int64(10 ** 6 + 1)):
+            with pytest.raises(PreconditionError, match=r"H must be an integer in \[0, 1e\+06\]"):
+                call(H)
+    for h in (2_000_000, -2_000_000, 1.5):
+        with pytest.raises(PreconditionError, match=r"h must be an integer with \|h\| <= 1e\+06"):
+            sums.weighted_lambda_expsum(p.x, h, p, 1)
+    assert calls == []
+
+
+def test_h_sums_share_one_k_and_x1_rule(monkeypatch):
+    # sums.twisted_window holds the rule of Gamma_10, its one-h case and the
+    # Type I/II sums alike: 1 <= k <= d, then x/2 <= x1 <= x, before a sieve
+    p = Parameters(x=3000.0, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    box = hb.DyadicBox(20, 40, 30, 60)
+    entries = [lambda x1, k: sums.gamma10_sum(x1, 2, p, k),
+               lambda x1, k: sums.weighted_lambda_expsum(x1, 1, p, k),
+               lambda x1, k: hb.type_sums(box, 2, p, k, x1=x1)]
+    calls = count_sieves(monkeypatch)
+    for call in entries:
+        for k in (0, 4, -2, 1.5):
+            with pytest.raises(PreconditionError, match="1 <= k <= d"):
+                call(p.x, k)
+        for x1 in (1499.0, 100.0, 3001.0):
+            with pytest.raises(PreconditionError, match="x/2 <= x1 <= x"):
+                call(x1, 1)
+    assert calls == []
+    assert sums.twisted_window(p, 1500.0, 3) == (1500, 1500)
+    assert sums.twisted_window(p, 2999.5, 1) == (1500, 2999)
+    assert sums.twisted_window(replace(p, x=3001.5), 1500.75, 2) == (1500, 1500)
+    assert sums.gamma10_sum(1500.0, 2, p, 1) == 0.0
+    assert sums.weighted_lambda_expsum(1500.0, 1, p, 1) == 0j
+    assert hb.type_sums(box, 2, p, 1, x1=1500.0) == 0.0
+
+
 def test_gamma11_pairs_conjugate_heights():
     # Lambda is real: the inner sums at h and -h have equal moduli, so
     # gamma11_sum is twice the sum over positive h of the direct inner sums
@@ -794,6 +842,16 @@ def test_every_entry_checks_the_cap_before_powering(monkeypatch, x):
     for call in entries.values():
         with pytest.raises(ScaleError, match="exceeds the cap"):
             call()
+    assert calls == []
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, 0.5, 1.5])
+def test_gamma34_gap_refuses_x_below_two(monkeypatch, x):
+    # its bound 3 sqrt(x) log x is undefined at 0 and negative below 1
+    calls = count_sieves(monkeypatch)
+    p = Parameters(x=1e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    with pytest.raises(PreconditionError, match="gamma34_gap x must be >= 2"):
+        sums.gamma34_gap(x, p)
     assert calls == []
 
 

@@ -43,6 +43,8 @@ def test_monomial_phase_reports_exact_derivatives():
     assert np.allclose(pf.d3(n), 0.3 * 2.5 * 1.5 * 0.5 * n ** -0.5, rtol=1e-15)
     lo, hi = pf.bracket(2)
     assert lo <= 0.3 * 2.5 * 1.5 * math.sqrt(12.0) <= hi
+    with pytest.raises(PreconditionError, match="order 4 not supplied"):
+        pf.bracket(4)
 
 
 def test_phase_function_validates_interval():
