@@ -10,7 +10,8 @@ All kernels below are branch-free elementwise operations, so they accept and
 return numpy arrays (or scalars) of matching shape.  Error-free transforms:
 
     two_sum   Knuth/Moller, exact for any ordering of magnitudes
-    two_prod  Dekker split (no fma on this platform); exact absent overflow
+    two_prod  Dekker (no fma on this platform), exact absent overflow, on
+              _split, the one Dekker split, which the anchor tables share
 
 The transcendental layer, dd_pow_int, computes n^c = 2^W exp2(f) from
 log2 n = k + log2 m with the mantissa m normalized into [sqrt(1/2), sqrt(2))
@@ -78,15 +79,18 @@ def quick_two_sum(a, b):
     return s, e
 
 
+def _split(a):
+    """Dekker's split: (hi, lo) with hi + lo = a exactly, each half of 26 bits."""
+    aa = _SPLITTER * a
+    hi = aa - (aa - a)
+    return hi, a - hi
+
+
 def two_prod(a, b):
     """Exact product: (p, e) with p = fl(a*b), p + e = a*b."""
     p = a * b
-    aa = _SPLITTER * a
-    ahi = aa - (aa - a)
-    alo = a - ahi
-    bb = _SPLITTER * b
-    bhi = bb - (bb - b)
-    blo = b - bhi
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, e
 
@@ -123,12 +127,6 @@ def dd_mul(xhi, xlo, yhi, ylo):
 def dd_mul_d(xhi, xlo, d):
     p, e = two_prod(xhi, d)
     e = e + xlo * d
-    return quick_two_sum(p, e)
-
-
-def dd_sqr(xhi, xlo):
-    p, e = two_prod(xhi, xhi)
-    e = e + 2.0 * (xhi * xlo)
     return quick_two_sum(p, e)
 
 
@@ -226,7 +224,7 @@ def dd_log2_int(n):
     num_hi, num_lo = m - 1.0, np.zeros_like(m)
     den_hi, den_lo = two_sum(m, 1.0)
     zhi, zlo = dd_div(num_hi, num_lo, den_hi, den_lo)
-    z2hi, z2lo = dd_sqr(zhi, zlo)
+    z2hi, z2lo = dd_mul(zhi, zlo, zhi, zlo)
 
     phi, plo = np.full_like(m, _ATANH_C[-1][0]), np.full_like(m, _ATANH_C[-1][1])
     for chi, clo in _ATANH_C[-2::-1]:
@@ -279,7 +277,7 @@ def dd_pow_int(n, c):
     if c == 1.0:
         return dd_from_int(np.asarray(n, dtype=np.int64))
     if c == 2.0:
-        return dd_sqr(*dd_from_int(np.asarray(n, dtype=np.int64)))
+        return dd_mul(*dd_from_int(np.asarray(n, dtype=np.int64)) * 2)     # the pair, twice
     if c == 0.5:
         return dd_sqrt_int(n)
     k, lg_hi, lg_lo = dd_log2_int(n)
@@ -370,10 +368,8 @@ def _table(anchors: np.ndarray, c: float, t: float, width: float, n_max: int,
     # one dd_pow_int call; the anchors are exact in float64, their low s bits being zero
     a_hi, a_lo = dd_mul_d(*dd_pow_int(anchors, c), t)
     d_hi, d_lo = dd_div(*dd_mul_d(a_hi, a_lo, c), anchors.astype(np.float64), 0.0)
-    dd = _SPLITTER * d_hi
-    d_big = dd - (dd - d_hi)
     return AnchorTable(c, t, width, n_max, anchors, a_hi, a_lo, d_hi, d_lo,
-                       (d_big, d_hi - d_big), offset)
+                       _split(d_hi), offset)
 
 
 def anchor_table(n_max: int, c: float, t: float, t_max: float | None = None):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from .errors import PreconditionError
-from .numerics import write_csv, write_json
+from .numerics import write_csv
 
 F = Fraction
 
@@ -489,9 +489,6 @@ class CatalogueReport:
             out.append({"term": None, "status": "note", "detail": note,
                         "witness_point": None})
         return out
-
-    def write_findings(self, path):
-        write_json(path, self.findings())
 
 
 H2_EXPONENT = 10             # the optimization window is [1, x^H2_EXPONENT]

@@ -63,10 +63,7 @@ def hb_identity_value(n, J, z):
     m <= z and the validity test n <= z^J carry 1e-12 relative slack toward
     inclusion, so z = 64**(1/3) (float 3.999...) truncates at 4, not 3.
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError("precondition: n must be a positive integer")
-    if J not in (2, 3):
-        raise PreconditionError("precondition: J must be 2 or 3")
+    n, J = numerics.check_int(n, "n", 1), numerics.check_int(J, "J", 2, 3)
     zf = float(z) * (1.0 + 1e-12)
     if not zf ** J >= n:                     # a NaN z fails too
         raise PreconditionError(
@@ -223,9 +220,9 @@ class DyadicBox:
     L1: int
 
     def __post_init__(self):
+        for edge in ("M", "M1", "L", "L1"):
+            object.__setattr__(self, edge, numerics.check_int(getattr(self, edge), edge))
         for lo, hi, side in ((self.M, self.M1, "M"), (self.L, self.L1, "L")):
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise PreconditionError(f"precondition: {side} edges must be integers")
             if not 1 <= lo <= hi <= 2 * lo:
                 raise PreconditionError(
                     f"precondition: need 1 <= {side} <= {side}1 <= 2{side}"

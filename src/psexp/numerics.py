@@ -72,10 +72,8 @@ class Parameters:
             raise PreconditionError(f"gamma must lie in (0, 1], got {gf}")
         if not (1.0 <= cf <= 2.0):
             raise PreconditionError(f"c must lie in [1, 2], got {cf}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise PreconditionError(f"modulus d must be a positive integer, got {self.d}")
-        if not isinstance(self.a, int):
-            raise PreconditionError(f"residue a must be an integer, got {self.a}")
+        object.__setattr__(self, "d", check_int(self.d, "d", 1))
+        object.__setattr__(self, "a", check_int(self.a, "a"))
         if math.gcd(self.a, self.d) != 1:
             raise PreconditionError(f"need gcd(a, d) = 1, got gcd({self.a}, {self.d})")
         _check_phase_args(self.t, cf)
@@ -133,6 +131,19 @@ def e_of(y) -> UnitComplex:
     return UnitComplex(math.cos(2.0 * math.pi * r), math.sin(2.0 * math.pi * r))
 
 
+def check_int(v, name: str, lo=None, hi=None) -> int:
+    """v as an int, the package's one integer rule: a Python or NumPy integer,
+    not a bool, with lo <= v <= hi for each bound given.  Else PreconditionError
+    names the argument, its range and repr(v), as in
+    "H must be an integer in [0, 1e+06], got 2.5"."""
+    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and (lo is None or lo <= v) and (hi is None or v <= hi)):
+        return int(v)
+    lo_s, hi_s = (f"{b:g}" if isinstance(b, float) else str(b) for b in (lo, hi))
+    span = f"{'(-inf' if lo is None else '[' + lo_s}, {'inf)' if hi is None else hi_s + ']'}"
+    raise PreconditionError(f"{name} must be an integer in {span}, got {v!r}")
+
+
 def _check_phase_args(t: float, c: float) -> None:
     if not (math.isfinite(t) and abs(t) <= T_CAP):
         raise PreconditionError(f"|t| must be finite and <= {T_CAP:g}, got {t}")
@@ -146,8 +157,7 @@ def phase_mod1(t: float, n: int, c: float) -> float:
     Raises PrecisionError once |t| * n^c reaches 2^70, where the pair can no
     longer pin the fractional part to the documented 1e-9.
     """
-    if not (isinstance(n, (int, np.integer)) and 1 <= n < N_CAP):
-        raise PreconditionError(f"n must be an integer in [1, 2^53), got {n!r}")
+    n = check_int(n, "n", 1, N_CAP - 1)
     try:
         return float(phase_mod1_vec(t, np.array([n], dtype=np.int64), c)[0])
     except PrecisionError as exc:
@@ -157,11 +167,11 @@ def phase_mod1(t: float, n: int, c: float) -> float:
 def check_n(n) -> np.ndarray:
     """n as an int64 array for the phase kernel: integers 1 <= n < N_CAP = 2^53.
 
-    Float arrays must hold integers (nothing is truncated); past 2^53 the
-    kernel's float64 n and its anchors stop being exact.
+    Float arrays must hold integers (nothing is truncated), bool arrays are
+    refused; past 2^53 the kernel's float64 n and its anchors stop being exact.
     """
     n = np.asarray(n)
-    if n.dtype.kind not in "biuf":
+    if n.dtype.kind not in "iuf":
         raise PreconditionError(f"n must be an integer array, got dtype {n.dtype}")
     if n.dtype.kind == "f" and not np.all(n == np.floor(n)):
         raise PreconditionError("n must hold integers, got non-integral values")
@@ -193,9 +203,7 @@ def phase_mod1_vec(t: float, n: np.ndarray, c: float, table=None) -> np.ndarray:
 
 def check_height(H) -> int:
     """H as an int for the h-loops 1 <= |h| <= H: an integer 0 <= H <= T_CAP, the |t| cap."""
-    if not (isinstance(H, (int, np.integer)) and 0 <= H <= T_CAP):
-        raise PreconditionError(f"H must be an integer in [0, {T_CAP:g}], got {H!r}")
-    return int(H)
+    return check_int(H, "H", 0, T_CAP)
 
 
 def frac_pair(n: np.ndarray, c: float, H: int):

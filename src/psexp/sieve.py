@@ -17,20 +17,22 @@ primes_up_to is its d = 1 case, an odd-only sieve.  lambda_in_ap merges the
 class prime powers p^k, k >= 2, from the same base primes into each
 segment's primes, giving the (n, Lambda(n)) blocks of the Lambda-weighted
 sums, and sieve_range builds its table of primality and von Mangoldt Lambda
-over (lo, hi] from them.  Every sieve raises ScaleError before allocating
-once hi passes EXACT_CAP = 2^52, where float64 stops holding every n
-exactly; primes_in_ap, which holds all its blocks at once, raises it
-already past SIEVE_CAP = 2^32.
+over (lo, hi] from them.  Every sieve takes lo, hi, d and a by
+numerics.check_int and raises ScaleError before allocating once hi passes
+EXACT_CAP = 2^52, where float64 stops holding every n exactly;
+primes_in_ap, which holds all its blocks at once, raises it already past
+SIEVE_CAP = 2^32.
 
 Membership in the Piatetski-Shapiro sequence for exponent gamma is the
 indicator [-n^gamma] - [-(n+1)^gamma], i.e. whether [y1, y2) with
 y1 = n^gamma, y2 = (n+1)^gamma contains an integer.  One kernel, ps_floor,
 decides it from a single power: {n^gamma} from the phase kernel and
 delta = y2 - y1 < 1 from float64 give the indicator [{n^gamma} + delta >= 1]
-and {y2}; anything within 1e-9 of an integer goes through an
-escalating-precision certification that never guesses.  ps_mask, the
-decomposition pass and the psi-weights of sums all use it; is_ps_prime is
-the scalar, certified-only oracle.
+and {y2}; anything within 1e-9 of an integer goes through a certification
+that never guesses: an exact power by integer arithmetic alone (s
+math.isqrt steps for gamma = k/2^s), else an escalating mpmath precision.
+ps_mask, the decomposition pass and the psi-weights of sums all use it;
+is_ps_prime is the scalar, certified-only oracle.
 """
 
 from __future__ import annotations
@@ -99,17 +101,14 @@ def check_cap(hi: int) -> int:
     return hi
 
 
-def _base_primes(lo: int, hi: int, d: int, a: int) -> np.ndarray | None:
-    """The arguments checked, then the primes up to sqrt(hi) (None if the
-    window (lo, hi] holds no n >= 2)."""
-    if d < 1 or math.gcd(a, d) != 1:
-        raise PreconditionError(f"need d >= 1 and gcd(a, d) = 1, got a={a}, d={d}")
-    if not all(isinstance(v, (int, np.integer)) for v in (lo, hi)):
-        raise PreconditionError(f"need integer bounds, got ({lo!r}, {hi!r})")
-    if lo < 0:
-        raise PreconditionError(f"need lo >= 0, got {lo}")
-    check_cap(hi)
-    return primes_up_to(math.isqrt(hi)) if hi > max(lo, 1) else None
+def _base_primes(lo: int, hi: int, d: int, a: int):
+    """(lo, hi, d, a) checked and made ints, and the primes up to sqrt(hi), or
+    None for them if the window (lo, hi] holds no n >= 2."""
+    d, a = numerics.check_int(d, "d", 1), numerics.check_int(a, "a")
+    if math.gcd(a, d) != 1:
+        raise PreconditionError(f"need gcd(a, d) = 1, got a={a}, d={d}")
+    lo, hi = numerics.check_int(lo, "lo", 0), check_cap(numerics.check_int(hi, "hi"))
+    return (lo, hi, d, a), primes_up_to(math.isqrt(hi)) if hi > max(lo, 1) else None
 
 
 def iter_primes_in_ap(lo: int, hi: int, d: int, a: int):
@@ -120,8 +119,8 @@ def iter_primes_in_ap(lo: int, hi: int, d: int, a: int):
     The arguments and EXACT_CAP are checked here, before anything is
     allocated.
     """
-    base = _base_primes(lo, hi, d, a)
-    return iter(()) if base is None else _class_blocks(lo, hi, d, a, base)
+    args, base = _base_primes(lo, hi, d, a)
+    return iter(()) if base is None else _class_blocks(*args, base)
 
 
 def lambda_in_ap(lo: int, hi: int, d: int, a: int):
@@ -132,8 +131,8 @@ def lambda_in_ap(lo: int, hi: int, d: int, a: int):
     k >= 2, of the segment merged in ascending order with Lambda =
     math.log(p).  Checked before anything is allocated, as iter_primes_in_ap.
     """
-    base = _base_primes(lo, hi, d, a)
-    return iter(()) if base is None else _lambda_blocks(lo, hi, d, a, base)
+    args, base = _base_primes(lo, hi, d, a)
+    return iter(()) if base is None else _lambda_blocks(*args, base)
 
 
 def _lambda_blocks(lo: int, hi: int, d: int, a: int, base: np.ndarray):
@@ -214,8 +213,7 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
 
 def iter_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT):
     """Yield PrimeTables covering (lo, hi] in slices of at most `segment`."""
-    if segment < 2:
-        raise PreconditionError(f"segment size must be >= 2, got {segment}")
+    segment = numerics.check_int(segment, "segment", 2)
     a = lo
     while a < hi:
         b = min(a + segment, hi)
@@ -227,26 +225,21 @@ def iter_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT):
 # Piatetski-Shapiro membership
 # ---------------------------------------------------------------------------
 
-def _gamma_as_dyadic(gamma: float) -> Fraction:
-    return Fraction(*float(gamma).as_integer_ratio())
-
-
 def _exact_integer_power(m: int, gamma: float):
     """Return m^gamma as an exact int if it is one, else None.
 
     For dyadic gamma = k/2^s in lowest terms (k odd), m^gamma is an integer
-    iff m is a perfect 2^s-th power; then m^gamma = root^k.
+    iff m is a perfect 2^s-th power; then m^gamma = root^k.  The root comes
+    from s exact math.isqrt steps, each of which must meet a perfect square.
     """
-    g = _gamma_as_dyadic(gamma)
-    s = g.denominator.bit_length() - 1     # denominator is 2^s, numerator odd
-    if s > 6:
-        # a perfect 2^s-th power is >= 2^(2^s) >= 2^128, beyond any table
-        return 1 if m == 1 else None
-    root = round(m ** (1.0 / 2 ** s))
-    for r in (root - 1, root, root + 1):
-        if r >= 1 and r ** (2 ** s) == m:
-            return r ** g.numerator
-    return None
+    g = Fraction(float(gamma))
+    root = m
+    for _ in range(g.denominator.bit_length() - 1):     # denominator is 2^s
+        q = math.isqrt(root)
+        if q * q != root:
+            return None
+        root = q
+    return root ** g.numerator
 
 
 _CERTIFY_BITS = (80, 160, 320, 640, 1280, 2048)     # mpmath precision ladder
@@ -282,13 +275,12 @@ def is_ps_prime(p: int, gamma: float) -> bool:
     interval [p^gamma, (p+1)^gamma) contains an integer.  Exact at gamma = 1.
     The name follows usage: p is typically prime, but any integer >= 1 works.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise PreconditionError(f"need integer p >= 1, got {p!r}")
+    p = numerics.check_int(p, "p", 1)
     if not (0.0 < gamma <= 1.0):
         raise PreconditionError(f"need 0 < gamma <= 1, got {gamma}")
     if gamma == 1.0:
         return True
-    return _certified_row(int(p), gamma)[0]
+    return _certified_row(p, gamma)[0]
 
 
 def _certified_row(m: int, gamma: float):

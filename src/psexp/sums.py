@@ -59,7 +59,7 @@ import numpy as np
 from . import sieve
 from .ddmath import anchor_table
 from .errors import PreconditionError
-from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, e_of_frac_vec,
+from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, check_int, e_of_frac_vec,
                        frac_pair, frac_times, phase_mod1_vec, weighted_e_sum, write_csv)
 
 BLOCK = 1 << 16
@@ -660,8 +660,7 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
 def twisted_window(params: Parameters, x1: float, k: int) -> tuple:
     """(floor(x) // 2, floor(x1)), the window x/2 < n <= x1 of Gamma_10 and type_sums,
     once the one rule passes: k an integer 1 <= k <= d, x1 by _floor_x, x/2 <= x1 <= x."""
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= params.d):
-        raise PreconditionError(f"need 1 <= k <= d = {params.d}, got k={k!r}")
+    check_int(k, "k", 1, params.d)
     hi = _floor_x(x1, -math.inf, "x1")
     if not params.x / 2 <= x1 <= params.x:
         raise PreconditionError(f"need x/2 <= x1 <= x = {params.x}, got x1 = {x1}")
@@ -683,9 +682,7 @@ def weighted_lambda_expsum(x1: float, h: int, params: Parameters, k: int) -> com
     No congruence restriction: the character e(k n / d) replaces it.  The
     rational phase (k n mod d) / d is exact.  The one-h case of gamma10_sum.
     """
-    if not (isinstance(h, (int, np.integer)) and abs(h) <= T_CAP):
-        raise PreconditionError(f"h must be an integer with |h| <= {T_CAP:g}, got {h!r}")
-    return _twisted_sums(x1, [int(h)], params, k)[0]
+    return _twisted_sums(x1, [check_int(h, "h", -T_CAP, T_CAP)], params, k)[0]
 
 
 def gamma10_sum(x1: float, H: int, params: Parameters, k: int) -> float:

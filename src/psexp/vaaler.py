@@ -39,6 +39,7 @@ import numpy as np
 
 from . import ddmath as dm
 from .errors import PreconditionError
+from .numerics import check_int
 
 H_MAX = 10 ** 6
 A_CAP = 1.0 + 1e-12      # max |a(h) h| = max Phi / (2 pi) <= 1 / (2 pi)
@@ -71,19 +72,18 @@ def phi_damping(t: float) -> float:
     return math.pi * t * (1.0 - t) / math.tan(math.pi * t) + t
 
 
-def _check_degree(H) -> None:
-    """PreconditionError unless H is an integer with 1 <= H <= H_MAX."""
-    if not (isinstance(H, (int, np.integer)) and 1 <= H <= H_MAX):
-        raise PreconditionError(f"need integer 1 <= H <= {H_MAX}, got {H!r}")
+def _check_degree(H) -> int:
+    """H as an int for a degree-H series: an integer 1 <= H <= H_MAX."""
+    return check_int(H, "H", 1, H_MAX)
 
 
 def build_coefficients(H: int) -> VaalerCoefficients:
-    _check_degree(H)
+    H = _check_degree(H)
     h = np.arange(1, H + 1, dtype=np.float64)
     phi = np.array([phi_damping(v) for v in h / (H + 1.0)])
     a = 1j * phi / (2.0 * math.pi * h)
     b = (1.0 - np.arange(0, H + 1, dtype=np.float64) / (H + 1.0)) / (H + 1.0)
-    return VaalerCoefficients(int(H), a, b)
+    return VaalerCoefficients(H, a, b)
 
 
 def _trig_series(trig, x, w: np.ndarray):
@@ -126,7 +126,7 @@ def fejer_closed_form(x, H: int):
     |sin(pi y)| is evaluated as sin(pi * min({y}, 1-{y})) so the value stays
     accurate when {y} is close to 0 or 1.  H as for build_coefficients.
     """
-    _check_degree(H)
+    H = _check_degree(H)
     x = np.asarray(x, dtype=np.float64)
 
     def abs_sin_pi_pair(yhi, ylo):
@@ -148,7 +148,7 @@ def naive_fejer_psi(x, H: int):
     -(1/pi) sum (1 - h/(H+1)) sin(2 pi h x)/h.  Kept as a foil: it fails the
     pointwise inequality against M near integers.  H as for build_coefficients.
     """
-    _check_degree(H)
+    H = _check_degree(H)
     h = np.arange(1, H + 1, dtype=np.float64)
     s = _trig_series(np.sin, x, (1.0 - h / (H + 1.0)) / h)
     return (-s / math.pi) if s.shape else float(-s / math.pi)

@@ -31,10 +31,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
+from .numerics import check_int
 
 _C = 1.0                    # the derivative tests' constant
 _BRACKET_SAMPLES = 1000     # sample points of a derivative bracket
 RATIO_CEILING = 10.0        # largest empirical/bound ratio standard_sweep accepts
+REL_TOL = 1e-6              # relative slack of square_out_check's inequality
 
 
 @dataclass
@@ -125,16 +127,15 @@ def compare(pf: PhaseFunction, kind: str = "second") -> BoundReport:
     return BoundReport(kind, (pf.a, pf.b), lam, bound, emp, emp / bound, pf.label)
 
 
-def square_out_check(z: np.ndarray, Q: int, rel_tol: float = 1e-6):
-    """Check the shift inequality for one sequence and shift cap Q.
+def square_out_check(z: np.ndarray, Q: int):
+    """Check the shift inequality for one sequence and shift cap Q >= 1.
 
     Returns (lhs, rhs, ok, imag_residual): lhs = |sum z|^2, rhs the weighted
-    autocorrelation bound, ok = lhs <= rhs * (1 + rel_tol); imag_residual is
+    autocorrelation bound, ok = lhs <= rhs * (1 + REL_TOL); imag_residual is
     the size of the imaginary part of the symmetrized correlation sum, which
     is zero in exact arithmetic.
     """
-    if not (isinstance(Q, (int, np.integer)) and 1 <= Q):
-        raise PreconditionError(f"need integer Q >= 1, got {Q!r}")
+    Q = check_int(Q, "Q", 1)
     z = np.asarray(z, dtype=np.complex128)
     N = z.size
     if N == 0:
@@ -147,7 +148,7 @@ def square_out_check(z: np.ndarray, Q: int, rel_tol: float = 1e-6):
     w = np.clip(1.0 - np.abs(qs) / Q, 0.0, None)
     acc = complex((w * corr).sum())
     rhs = (1.0 + N / Q) * acc.real
-    ok = lhs <= rhs * (1.0 + rel_tol) + 1e-12
+    ok = lhs <= rhs * (1.0 + REL_TOL) + 1e-12
     return float(lhs), float(rhs), bool(ok), abs(acc.imag)
 
 
@@ -165,8 +166,7 @@ def square_out_trials(rng: np.random.Generator):
     return trials, violations
 
 
-def monomial_phase(theta: float, power: float, a: float, b: float,
-                   label: str = "") -> PhaseFunction:
+def monomial_phase(theta: float, power: float, a: float, b: float) -> PhaseFunction:
     """f(n) = theta * n^power with exact symbolic derivatives."""
     if not (theta != 0 and math.isfinite(theta)):
         raise PreconditionError(f"need finite nonzero theta, got {theta}")
@@ -180,8 +180,7 @@ def monomial_phase(theta: float, power: float, a: float, b: float,
     def d3(n):
         return theta * power * (power - 1.0) * (power - 2.0) * n ** (power - 3.0)
 
-    return PhaseFunction(f, a, b, d2, d3,
-                         label or f"{theta:g}*n^{power:g} on ({a:g},{b:g}]")
+    return PhaseFunction(f, a, b, d2, d3, f"{theta:g}*n^{power:g} on ({a:g},{b:g}]")
 
 
 def standard_sweep() -> list[BoundReport]:

@@ -291,6 +291,52 @@ def test_split_product_is_two_prod():
     assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
+def _edge_floats():
+    """+-0, subnormals, values near overflow and random values of every binade."""
+    rng = np.random.default_rng(11)
+    fmax = np.finfo(np.float64).max
+    edges = [0.0, 5e-324, 1e-320, 2.0 ** -1022, 2.0 ** -1000, 1.0, 1.5, 3.0, 2.0 ** 26 + 1,
+             2.0 ** 27 - 1, 2.0 ** 52 + 1, 2.0 ** 511, 2.0 ** 512, 1e154, 1e200, 2.0 ** 996,
+             2.0 ** 997, 1e300, fmax / 2 ** 27, fmax, np.inf]
+    wide = rng.uniform(1.0, 2.0, 20_000) * 2.0 ** rng.integers(-1074, 1024, 20_000)
+    return np.concatenate([edges, np.negative(edges), wide, -wide[:5000]])
+
+
+def test_pair_square_is_dd_mul_bit_for_bit():
+    # the square formula dd_mul took over: two_prod(hi, hi), then e + 2 (hi lo)
+    x = _edge_floats()
+    grid = np.meshgrid(x[:42], x[:42])
+    rng = np.random.default_rng(12)
+    small = x[42:] * rng.uniform(-1, 1, x.size - 42) * 2.0 ** -53
+    hi = np.concatenate([grid[0].ravel(), x[42:], x[42:]])
+    lo = np.concatenate([grid[1].ravel(), small, rng.permutation(x[42:])])
+    with np.errstate(all="ignore"):
+        p, e = dm.two_prod(hi, hi)
+        want = dm.quick_two_sum(p, e + 2.0 * (hi * lo))
+        got = dm.dd_mul(hi, lo, hi, lo)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_split_is_the_dekker_split_two_prod_wrote_inline():
+    a = _edge_floats()
+    b = np.random.default_rng(13).permutation(a)
+    with np.errstate(all="ignore"):
+        def split(v):
+            vv = 134217729.0 * v                    # 2^27 + 1
+            v_hi = vv - (vv - v)
+            return v_hi, v - v_hi
+
+        got = dm._split(a)
+        (ahi, alo), (bhi, blo) = split(a), split(b)
+        p = a * b
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        prod = dm.two_prod(a, b)
+    assert _same_bits(got[0], ahi) and _same_bits(got[1], alo)
+    assert _same_bits(prod[0], p) and _same_bits(prod[1], e)
+    table = dm.anchor_table(10 ** 7, 1.05, 0.5)
+    assert all(_same_bits(u, v) for u, v in zip(table.d_split, split(table.d_hi)))
+
+
 def test_frac_value_is_exact_and_in_the_unit_interval():
     # for pairs (hi = fl(hi + lo)): the exact value is x - floor(x) to 2^-104 and lies
     # in [0, 1); hi lies in [0, 1], and reaches 1.0 only with a negative lo

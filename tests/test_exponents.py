@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from psexp import exponents as ex
 from psexp.errors import PreconditionError
+from psexp.numerics import write_json
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_derivation_flags_the_one_unreproduced_entry(derivation):
 def test_derivation_findings_are_serializable(derivation, tmp_path):
     import json
     path = tmp_path / "findings.json"
-    derivation.write_findings(str(path))
+    write_json(str(path), derivation.findings())
     data = json.loads(path.read_text())
     statuses = [d["status"] for d in data]
     assert statuses.count("matched") == 33

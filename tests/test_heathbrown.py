@@ -53,6 +53,14 @@ def test_identity_rejects_bad_arguments():
         hb.hb_identity_value(7, 3, math.nan)  # nan^3 < 7 is False too
 
 
+def test_identity_refuses_a_float_j():
+    # 2.0 passed `J not in (2, 3)` and then raised a bare TypeError
+    for J in (2.0, 3.0, np.float64(2.0)):
+        with pytest.raises(PreconditionError, match=r"J must be an integer in \[2, 3\]"):
+            hb.hb_identity_value(12, J, 4)
+    assert hb.hb_identity_value(12, np.int64(3), 4) == hb.hb_identity_value(12, 3, 4)
+
+
 def test_identity_sweep_j3():
     lam = lambda_table(2000)
     worst = 0.0

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psexp import exponents, heathbrown, sieve, sums
+from psexp import exponents, heathbrown, sieve, sums, vaaler, vdc
 from psexp.errors import PrecisionError, PreconditionError
-from psexp.numerics import (PHASE_CAP, Parameters, UnitComplex, check_height, e_of,
-                            e_of_frac_vec, frac, frac_pair, frac_times, phase_mod1,
-                            phase_mod1_vec, psi, verify_phase_fixture,
-                            weighted_e_sum)
+from psexp.numerics import (PHASE_CAP, T_CAP, Parameters, UnitComplex, check_height,
+                            check_int, check_n, e_of, e_of_frac_vec, frac, frac_pair,
+                            frac_times, phase_mod1, phase_mod1_vec, psi,
+                            verify_phase_fixture, weighted_e_sum, write_json)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,67 @@ def test_check_height_accepts_numpy_integers():
             check_height(bad)
 
 
+def test_check_int_is_one_rule_with_one_message():
+    assert check_int(np.int64(3), "d", 1) == 3 and type(check_int(np.uint8(3), "d", 1)) is int
+    assert check_int(-7, "a") == -7 and check_int(2 ** 70, "hi") == 2 ** 70
+    cases = [((True, "d", 1), "d must be an integer in [1, inf), got True"),
+             ((np.True_, "a"), f"a must be an integer in (-inf, inf), got {np.True_!r}"),
+             ((2.0, "J", 2, 3), "J must be an integer in [2, 3], got 2.0"),
+             ((0, "k", 1, 3), "k must be an integer in [1, 3], got 0"),
+             ((4, "k", None, 3), "k must be an integer in (-inf, 3], got 4"),
+             ((2 * 10 ** 6, "h", -T_CAP, T_CAP),
+              "h must be an integer in [-1e+06, 1e+06], got 2000000")]
+    for args, message in cases:
+        with pytest.raises(PreconditionError) as exc:
+            check_int(*args)
+        assert str(exc.value) == message
+
+
+def test_integer_arguments_refuse_a_bool_everywhere():
+    # True passed as 1 at every one of these sites
+    p = Parameters(x=1e4, c=1.1, gamma=0.9, t=0.5, d=3, a=1)
+    z = np.ones(8, dtype=complex)
+    calls = [lambda: phase_mod1(0.5, True, 1.05),
+             lambda: check_height(True),
+             lambda: sums.gamma11_sum(1e4, True, p),
+             lambda: sums.gamma10_sum(1e4, 1, p, True),
+             lambda: sums.weighted_lambda_expsum(1e4, True, p, 1),
+             lambda: sieve.is_ps_prime(True, 0.9),
+             lambda: sieve.primes_in_ap(100, True, 0),
+             lambda: sieve.primes_in_ap(100, 3, True),
+             lambda: sieve.iter_primes_in_ap(False, 100, 3, 1),
+             lambda: sieve.iter_primes_in_ap(0, True, 1, 0),
+             lambda: Parameters(x=10.0, c=1.1, gamma=0.9, d=True),
+             lambda: Parameters(x=10.0, c=1.1, gamma=0.9, a=True),
+             lambda: heathbrown.hb_identity_value(True, 2, 4),
+             lambda: heathbrown.DyadicBox(True, 1, 4, 8),
+             lambda: heathbrown.DyadicBox(1, 1, 1, True),
+             lambda: vaaler.build_coefficients(True),
+             lambda: vdc.square_out_check(z, True)]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="must be an integer in"):
+            call()
+
+
+def test_check_n_refuses_a_bool_array():
+    for call in (check_n, lambda n: phase_mod1_vec(0.5, n, 1.05),
+                 lambda n: sieve.ps_floor(n, 0.9)):
+        with pytest.raises(PreconditionError, match="integer array"):
+            call(np.array([True, True]))
+
+
+def test_numpy_integers_are_stored_as_int():
+    p = Parameters(x=10.0, c=1.1, gamma=0.9, d=np.int64(3), a=np.int32(2))
+    assert (p.d, p.a) == (3, 2) and type(p.d) is int and type(p.a) is int
+    assert p == Parameters(x=10.0, c=1.1, gamma=0.9, d=3, a=2)
+    box = heathbrown.DyadicBox(np.int64(50), np.int64(100), np.uint16(50), 100)
+    assert box == heathbrown.DyadicBox(50, 100, 50, 100)
+    assert all(type(v) is int for v in (box.M, box.M1, box.L, box.L1))
+    assert heathbrown.hb_identity_value(np.int64(12), np.int64(2), 4) == \
+        heathbrown.hb_identity_value(12, 2, 4)
+    assert phase_mod1(0.5, np.int64(7), 1.05) == phase_mod1(0.5, 7, 1.05)
+
+
 # ---------------------------------------------------------------------------
 # stored fixture
 
@@ -334,7 +395,7 @@ def test_writers_pin_every_output_byte(tmp_path):
 
     catalogue = exponents.CatalogueReport(None, [("R1", "lemma", "x^(1/2)")], [], [], [],
                                           [], ["a note"])
-    assert written(catalogue.write_findings) == (
+    assert written(lambda p: write_json(p, catalogue.findings())) == (
         b'[\n  {\n    "term": "x^(1/2)",\n    "status": "matched",\n'
         b'    "reference": "R1",\n    "via": "lemma",\n    "witness_point": null\n  },\n'
         b'  {\n    "term": null,\n    "status": "note",\n    "detail": "a note",\n'

@@ -192,6 +192,31 @@ def test_iter_primes_in_ap_checks_before_sieving(monkeypatch):
     assert list(sieve.iter_primes_in_ap(50, 50, 3, 1)) == []
 
 
+def test_sieve_entries_take_d_and_a_by_the_integer_rule(monkeypatch):
+    # a float d or a raised a bare TypeError; a NumPy one raised it from pow()
+    # once the base primes were sieved
+    for call in (lambda: sieve.primes_in_ap(100, 3.0, 1),
+                 lambda: sieve.primes_in_ap(100, 3, 1.0),
+                 lambda: sieve.lambda_in_ap(0, 100, 3, 1.0),
+                 lambda: sieve.iter_primes_in_ap(0, 100, 3.0, 1)):
+        with pytest.raises(PreconditionError, match="must be an integer in"):
+            call()
+    d, a = np.int64(3), np.int64(2)
+    want = sieve.primes_in_ap(10 ** 4, 3, 2)
+    assert sieve.primes_in_ap(10 ** 4, d, a).tobytes() == want.tobytes()
+    for (n, lam), (n_int, lam_int) in zip(sieve.lambda_in_ap(np.int64(0), 10 ** 4, d, a),
+                                          sieve.lambda_in_ap(0, 10 ** 4, 3, 2)):
+        assert n.tobytes() == n_int.tobytes() and lam.tobytes() == lam_int.tobytes()
+
+
+def test_iter_segments_names_its_segment():
+    for segment in (2.5, 1, True):
+        with pytest.raises(PreconditionError, match=r"segment must be an integer in \[2, inf\)"):
+            list(sieve.iter_segments(0, 100, segment))
+    tables = list(sieve.iter_segments(0, 100, np.int64(40)))
+    assert [(t.lo, t.hi) for t in tables] == [(0, 40), (40, 80), (80, 100)]
+
+
 def test_sieve_range_checks_the_cap_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("sieve_range allocated its table past the cap")
@@ -333,3 +358,32 @@ def test_uncertifiable_floor_raises_boundary_error_on_both_paths(monkeypatch):
         sieve.ps_floor(np.array([4]), gamma)
     with pytest.raises(BoundaryError):
         sieve.is_ps_prime(4, gamma)
+
+
+def root_by_bisection(m, den):
+    """The largest r >= 1 with r^den <= m, by bisection on exact integers."""
+    def at_most_m(r):
+        # r >= 2^(bits - 1), so r^den > m once (bits - 1) den > bit length of m
+        return (r.bit_length() - 1) * den <= m.bit_length() and r ** den <= m
+    lo, hi = 1, 2 ** (m.bit_length() // den + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at_most_m(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 0.625, 0.9375, 63 / 64, 129 / 256,
+                                   1 - 2.0 ** -52])
+def test_exact_integer_power_matches_bisection(gamma):
+    # integer arithmetic only: perfect 2^s-th powers up to and past 2^53, their
+    # neighbours, and small and random m, for s = 1 .. 8 and 52
+    num, den = gamma.as_integer_ratio()
+    top = root_by_bisection(2 ** 53, den)
+    roots = {r for r in (1, 2, 3, top - 1, top, top + 1, top + 2)
+             if r >= 1 and (r - 1).bit_length() * den <= 1024}     # no 2^(2^52)
+    ms = {r ** den + e for r in roots for e in (-1, 0, 1)}
+    ms |= set(range(1, 300)) | set(np.random.default_rng(7).integers(1, 2 ** 53, 50).tolist())
+    for m in sorted(v for v in ms if v >= 1):
+        r = root_by_bisection(m, den)
+        want = r ** num if r ** den == m else None
+        assert sieve._exact_integer_power(m, gamma) == want, m

@@ -765,7 +765,7 @@ def test_h_sums_check_their_height_before_work(monkeypatch):
             with pytest.raises(PreconditionError, match=r"H must be an integer in \[0, 1e\+06\]"):
                 call(H)
     for h in (2_000_000, -2_000_000, 1.5):
-        with pytest.raises(PreconditionError, match=r"h must be an integer with \|h\| <= 1e\+06"):
+        with pytest.raises(PreconditionError, match=r"h must be an integer in \[-1e\+06, 1e"):
             sums.weighted_lambda_expsum(p.x, h, p, 1)
     assert calls == []
 
@@ -781,7 +781,7 @@ def test_h_sums_share_one_k_and_x1_rule(monkeypatch):
     calls = count_sieves(monkeypatch)
     for call in entries:
         for k in (0, 4, -2, 1.5):
-            with pytest.raises(PreconditionError, match="1 <= k <= d"):
+            with pytest.raises(PreconditionError, match=r"k must be an integer in \[1, 3\]"):
                 call(p.x, k)
         for x1 in (1499.0, 100.0, 3001.0):
             with pytest.raises(PreconditionError, match="x/2 <= x1 <= x"):
