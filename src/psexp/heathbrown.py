@@ -64,10 +64,11 @@ def hb_identity_value(n, J, z):
     inclusion, so z = 64**(1/3) (float 3.999...) truncates at 4, not 3.
     """
     n, J = numerics.check_int(n, "n", 1), numerics.check_int(J, "J", 2, 3)
-    zf = float(z) * (1.0 + 1e-12)
-    if not zf ** J >= n:                     # a NaN z fails too
+    z = numerics.check_real(z, "z", 0, ends="()")
+    zf = z * (1.0 + 1e-12)
+    if not (zf >= n or zf ** J >= n):        # z >= n needs no power that could overflow
         raise PreconditionError(
-            f"precondition: identity needs n <= z^J, got n={n}, z^{J}={float(z)**J:g}"
+            f"precondition: identity needs n <= z^J, got n={n}, z^{J}={z**J:g}"
         )
     if n == 1:
         return 0.0
@@ -141,13 +142,8 @@ class UVZWindows:
 
 
 def uvz_windows(x, c):
-    x, c = float(x), float(c)
-    if not 1 < c < 28 / 19:
-        raise PreconditionError(f"precondition: c={c} outside (1, 28/19)")
-    if not math.isfinite(x):
-        raise PreconditionError(f"x must be finite, got {x}")
-    if x < 2:
-        raise PreconditionError(f"precondition: x={x} < 2")
+    c = numerics.check_real(c, "c", 1, 28 / 19, "()")
+    x = numerics.check_real(x, "x", 2)
     u = 2.0 ** -10 * x ** ((56 - 38 * c) / 171)
     v = 2.0 ** 7 * x ** (1 / 3)
     zz = x ** ((38 * c + 115) / 342)
@@ -248,8 +244,8 @@ def classification_map(x, c):
     w = uvz_windows(x, c)
     rows = []
     L = 1
-    while L <= int(x):
-        box = DyadicBox(1, 1, L, min(2 * L, max(int(x), 1)))
+    while L <= int(w.x):
+        box = DyadicBox(1, 1, L, min(2 * L, max(int(w.x), 1)))
         rows.append((w.x, w.c, w.U, w.V, w.Z, box.L, box.L1, classify_box(box, w)))
         L *= 2
     return rows

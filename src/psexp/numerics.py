@@ -17,6 +17,10 @@ of mpmath while |t n^c| <= 2^53 and within ~1e-10 up to the cap (measured:
 frac_pair, with anchors sized for |t| = H, and form each {h n^c} by
 frac_times: one multiply and one floor per h, error |h| times the pair's
 error plus |h| 2^-53.
+
+The package's arguments meet two rules with one message form: check_int for
+integers, check_real for real scalars (finite, in a span, used as a float),
+as Parameters' x, c, gamma, t and the phase entries' t and c are.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -43,7 +48,7 @@ Real = Union[float, Fraction, int]
 
 
 def _as_fraction(v: Real) -> Fraction:
-    if isinstance(v, (Fraction, int)):
+    if isinstance(v, numbers.Rational):
         return Fraction(v)
     return Fraction(*v.as_integer_ratio())
 
@@ -65,18 +70,14 @@ class Parameters:
     a: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x > 0):
-            raise PreconditionError(f"x must be positive and finite, got {self.x}")
-        cf, gf = self.c_float, self.gamma_float
-        if not (0.0 < gf <= 1.0):
-            raise PreconditionError(f"gamma must lie in (0, 1], got {gf}")
-        if not (1.0 <= cf <= 2.0):
-            raise PreconditionError(f"c must lie in [1, 2], got {cf}")
+        object.__setattr__(self, "x", check_real(self.x, "x", 0, ends="()"))
+        check_real(self.gamma, "gamma", 0, 1, "(]")
+        check_real(self.c, "c", 1, 2)
         object.__setattr__(self, "d", check_int(self.d, "d", 1))
         object.__setattr__(self, "a", check_int(self.a, "a"))
         if math.gcd(self.a, self.d) != 1:
             raise PreconditionError(f"need gcd(a, d) = 1, got gcd({self.a}, {self.d})")
-        _check_phase_args(self.t, cf)
+        object.__setattr__(self, "t", check_real(self.t, "t", -T_CAP, T_CAP))
 
     @property
     def c_float(self) -> float:
@@ -98,23 +99,9 @@ class Parameters:
         return c / 18 + g / 2 + Fraction(143, 342)
 
 
-class UnitComplex(complex):
-    """A complex number constructed on the unit circle."""
-
-    def __new__(cls, re: float, im: float):
-        z = super().__new__(cls, re, im)
-        if abs(re * re + im * im - 1.0) > 1e-12:
-            raise PreconditionError(f"({re}, {im}) is not on the unit circle")
-        return z
-
-
 def frac(y) -> float:
-    """Fractional part {y} in [0, 1); frac(-0.25) = 0.75, exact at integers."""
-    if isinstance(y, int):
-        return 0.0
-    yf = float(y)
-    if not math.isfinite(yf):
-        raise PreconditionError(f"frac of non-finite value {yf}")
+    """Fractional part {y} in [0, 1) of a real y; frac(-0.25) = 0.75, exact at integers."""
+    yf = check_real(y, "y")
     v = yf - math.floor(yf)
     # y - floor(y) rounds up to 1.0 when y sits just below an integer
     return 0.0 if v >= 1.0 else v
@@ -125,10 +112,10 @@ def psi(y) -> float:
     return frac(y) - 0.5
 
 
-def e_of(y) -> UnitComplex:
+def e_of(y) -> complex:
     """e(y) = exp(2 pi i y), with the argument reduced mod 1 before trig."""
     r = frac(y)
-    return UnitComplex(math.cos(2.0 * math.pi * r), math.sin(2.0 * math.pi * r))
+    return complex(math.cos(2.0 * math.pi * r), math.sin(2.0 * math.pi * r))
 
 
 def check_int(v, name: str, lo=None, hi=None) -> int:
@@ -139,16 +126,35 @@ def check_int(v, name: str, lo=None, hi=None) -> int:
     if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
             and (lo is None or lo <= v) and (hi is None or v <= hi)):
         return int(v)
-    lo_s, hi_s = (f"{b:g}" if isinstance(b, float) else str(b) for b in (lo, hi))
-    span = f"{'(-inf' if lo is None else '[' + lo_s}, {'inf)' if hi is None else hi_s + ']'}"
-    raise PreconditionError(f"{name} must be an integer in {span}, got {v!r}")
+    raise PreconditionError(f"{name} must be an integer in {_span(lo, hi)}, got {v!r}")
 
 
-def _check_phase_args(t: float, c: float) -> None:
-    if not (math.isfinite(t) and abs(t) <= T_CAP):
-        raise PreconditionError(f"|t| must be finite and <= {T_CAP:g}, got {t}")
-    if not (0.0 < c <= 2.0):
-        raise PreconditionError(f"c must lie in (0, 2], got {c}")
+def check_real(v, name: str, lo=None, hi=None, ends: str = "[]") -> float:
+    """v as a float, the package's one rule for a real scalar: a numbers.Real
+    (Python or NumPy int or float, Fraction), not a bool, whose float is
+    finite and lies in the span from lo to hi, each end closed or open as
+    ends[0] is '[' or '(' and ends[1] is ']' or ')'; a bound of None leaves
+    that side open.  Else PreconditionError in check_int's form, as in
+    "gamma must be a finite real in (0, 1], got 1.5"."""
+    # a float skips the ~0.5 us numbers.Real test, paid per h by vaaler.build_coefficients
+    if isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+        try:
+            f = float(v)
+        except OverflowError:               # an int or Fraction past the float range
+            f = math.inf
+        if (math.isfinite(f) and (lo is None or lo < f or (lo == f and ends[0] == "["))
+                and (hi is None or f < hi or (f == hi and ends[1] == "]"))):
+            return f
+    raise PreconditionError(
+        f"{name} must be a finite real in {_span(lo, hi, ends)}, got {v!r}")
+
+
+def _span(lo, hi, ends: str = "[]") -> str:
+    """The span of check_int and check_real, as "[0, 1e+06]" or "(0, inf)"."""
+    def show(b):            # a float bound with :g where that reads back exactly
+        return f"{b:g}" if isinstance(b, float) and float(f"{b:g}") == b else str(b)
+    return (f"{'(-inf' if lo is None else ends[0] + show(lo)}, "
+            f"{'inf)' if hi is None else show(hi) + ends[1]}")
 
 
 def phase_mod1(t: float, n: int, c: float) -> float:
@@ -191,9 +197,9 @@ def phase_mod1_vec(t: float, n: np.ndarray, c: float, table=None) -> np.ndarray:
     covering n that a walk builds once.  n goes through check_n.  Raises
     PrecisionError once max |t| * n^c reaches PHASE_CAP = 2^70.
     """
-    _check_phase_args(float(t), float(c))
+    t, c = check_real(t, "t", -T_CAP, T_CAP), check_real(c, "c", 0, 2, "(]")
     n = check_n(n)
-    fhi, flo, peak = dm.dd_scaled_frac(n, float(c), float(t), table=table)
+    fhi, flo, peak = dm.dd_scaled_frac(n, c, t, table=table)
     if peak >= PHASE_CAP:
         raise PrecisionError(f"precision: max |t * n^c| ~ {peak:.3e} >= 2^70")
     out = np.add(fhi, flo, out=fhi)
@@ -215,8 +221,8 @@ def frac_pair(n: np.ndarray, c: float, H: int):
     n, c) spends; H goes through check_height.  Raises PrecisionError once
     H * max n^c reaches PHASE_CAP = 2^70, as that direct call at h = H would.
     """
-    _check_phase_args(float(check_height(H)), float(c))      # H is the anchors' |t|
-    fhi, flo, peak = dm.dd_scaled_frac(check_n(n), float(c), 1.0, t_max=float(H))
+    H, c = check_height(H), check_real(c, "c", 0, 2, "(]")      # H is the anchors' |t|
+    fhi, flo, peak = dm.dd_scaled_frac(check_n(n), c, 1.0, t_max=float(H))
     if float(H) * peak >= PHASE_CAP:
         raise PrecisionError(f"precision: H * max n^c ~ {float(H) * peak:.3e} >= 2^70")
     return fhi, flo

@@ -32,7 +32,9 @@ and {y2}; anything within 1e-9 of an integer goes through a certification
 that never guesses: an exact power by integer arithmetic alone (s
 math.isqrt steps for gamma = k/2^s), else an escalating mpmath precision.
 ps_mask, the decomposition pass and the psi-weights of sums all use it;
-is_ps_prime is the scalar, certified-only oracle.
+is_ps_prime is the scalar, certified-only oracle.  Both take gamma by
+numerics.check_real, a real in (0, 1], and use its float; primes_in_ap takes
+x by it, any finite real.
 """
 
 from __future__ import annotations
@@ -164,11 +166,10 @@ def primes_in_ap(x: float, d: int, a: int) -> np.ndarray:
 
     The blocks of iter_primes_in_ap over (0, x], concatenated: the one
     sieve that holds every block, so the one that raises ScaleError, before
-    allocating anything, once x exceeds SIEVE_CAP.  x must be finite.
+    allocating anything, once x exceeds SIEVE_CAP.  x is any finite real
+    (numerics.check_real).
     """
-    if not math.isfinite(x):
-        raise PreconditionError(f"x must be finite, got {x}")
-    n = int(math.floor(x))
+    n = math.floor(numerics.check_real(x, "x"))
     if n > SIEVE_CAP:
         raise ScaleError(f"scale: sieve bound {n} exceeds the cap 2^32 = {SIEVE_CAP}")
     return _concat(iter_primes_in_ap(0, n, d, a))
@@ -275,9 +276,7 @@ def is_ps_prime(p: int, gamma: float) -> bool:
     interval [p^gamma, (p+1)^gamma) contains an integer.  Exact at gamma = 1.
     The name follows usage: p is typically prime, but any integer >= 1 works.
     """
-    p = numerics.check_int(p, "p", 1)
-    if not (0.0 < gamma <= 1.0):
-        raise PreconditionError(f"need 0 < gamma <= 1, got {gamma}")
+    p, gamma = numerics.check_int(p, "p", 1), numerics.check_real(gamma, "gamma", 0, 1, "(]")
     if gamma == 1.0:
         return True
     return _certified_row(p, gamma)[0]
@@ -311,9 +310,7 @@ def ps_floor(n: np.ndarray, gamma: float, table=None):
     row is certified whenever f0 or f1 lies within 1e-9 of an integer, member
     never rests on a value that close to the decision boundary.
     """
-    n = numerics.check_n(n)
-    if not (0.0 < gamma <= 1.0):
-        raise PreconditionError(f"need 0 < gamma <= 1, got {gamma}")
+    n, gamma = numerics.check_n(n), numerics.check_real(gamma, "gamma", 0, 1, "(]")
     if gamma == 1.0:
         return (np.ones(n.shape, dtype=bool), np.zeros(n.shape), np.zeros(n.shape),
                 np.ones(n.shape))

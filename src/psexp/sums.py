@@ -59,8 +59,9 @@ import numpy as np
 from . import sieve
 from .ddmath import anchor_table
 from .errors import PreconditionError
-from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, check_int, e_of_frac_vec,
-                       frac_pair, frac_times, phase_mod1_vec, weighted_e_sum, write_csv)
+from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, check_int, check_real,
+                       e_of_frac_vec, frac_pair, frac_times, phase_mod1_vec, weighted_e_sum,
+                       write_csv)
 
 BLOCK = 1 << 16
 FOLD = 1 << 22
@@ -124,14 +125,10 @@ def _phase_bound(n_terms: int) -> float:
 # the one walk engine, its two streams, and pi
 # ---------------------------------------------------------------------------
 
-def _floor_x(x: float, least: float, name: str) -> int:
-    """floor(x) for a caller's x; PreconditionError unless x is finite and >= least,
-    then the sieve's ScaleError if floor(x) passes its cap (sieve.check_cap)."""
-    if not math.isfinite(x):
-        raise PreconditionError(f"{name} must be finite, got {x}")
-    if not x >= least:
-        raise PreconditionError(f"{name} must be >= {least:g}, got {x}")
-    return sieve.check_cap(math.floor(x))
+def _floor_x(x: float, least, name: str) -> int:
+    """floor(x) for a caller's x, a finite real >= least (check_real; None for no
+    bound), then the sieve's ScaleError if floor(x) passes its cap (sieve.check_cap)."""
+    return sieve.check_cap(math.floor(check_real(x, name, least)))
 
 
 def _slices(blocks):
@@ -445,16 +442,13 @@ class TheoremReport:
 
 def geometric_schedule(x_lo: float, x_hi: float, factor: float = math.sqrt(10.0)):
     """x_lo, x_lo*factor, ... climbing past x_hi's lower neighbor, ending at x_hi."""
-    if not (x_lo >= 2 and x_hi >= x_lo and factor > 1
-            and math.isfinite(x_hi) and math.isfinite(factor)):
-        raise PreconditionError(
-            f"schedule needs finite 2 <= x_lo <= x_hi and factor > 1, "
-            f"got ({x_lo}, {x_hi}, {factor})")
-    xs = [float(x_lo)]
+    x_lo = check_real(x_lo, "x_lo", 2)
+    x_hi, factor = check_real(x_hi, "x_hi", x_lo), check_real(factor, "factor", 1, ends="()")
+    xs = [x_lo]
     while xs[-1] * factor < x_hi * (1.0 - 1e-12):
         xs.append(xs[-1] * factor)
     if xs[-1] < x_hi:
-        xs.append(float(x_hi))
+        xs.append(x_hi)
     return xs
 
 
@@ -497,9 +491,10 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
         raise PreconditionError(
             f"region: 19(c-1) + 171(1-gamma) < 9 fails at c={params.c_float}, "
             f"gamma={params.gamma_float}; pass --allow-outside to run anyway")
-    xs = [float(x) for x in xs]
+    xs = list(xs)
     for x in xs:
         _floor_x(x, 2, "schedule x")
+    xs = [float(x) for x in xs]
     grid = sorted(set(xs))
     at = dict(zip(grid, zip(*_walk(params, grid, lambda top: [
         _decomposition_side(params, top), _main_term_side(params)]))))
@@ -520,9 +515,9 @@ def theorem_trend(params: Parameters, xs, allow_outside: bool = False) -> TrendR
 def gamma3_sum(x: float, params: Parameters) -> complex:
     """log-weighted psi-difference sum over primes <= x in the progression;
     a side of the walk with its own (gamma, 1) anchors, as the decomposition's."""
-    _floor_x(x, -math.inf, "gamma3_sum x")
+    _floor_x(x, None, "gamma3_sum x")
     gf = params.gamma_float
-    acc = _walk(params, [x], lambda top: [_psi_side(gf, anchor_table(top, gf, 1.0))])[0][0]
+    acc = _walk(params, [float(x)], lambda top: [_psi_side(gf, anchor_table(top, gf, 1.0))])[0][0]
     return acc.value
 
 
@@ -535,7 +530,7 @@ def _psi_sum(lo: int, hi: int, params: Parameters) -> complex:
 
 def gamma4_sum(x: float, params: Parameters) -> complex:
     """Lambda-weighted psi-difference sum over n <= x in the progression."""
-    return _psi_sum(0, _floor_x(x, -math.inf, "gamma4_sum x"), params)
+    return _psi_sum(0, _floor_x(x, None, "gamma4_sum x"), params)
 
 
 @dataclass
@@ -600,6 +595,7 @@ def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
     xs = list(xs)
     for x in xs:
         _floor_x(x, 4, "gamma5_sum x")
+    xs = [float(x) for x in xs]
     expo = float(params.claimed_exponent())
     return Gamma5Schedule(xs, [gamma5_sum(x, params) for x in xs],
                           [x ** expo for x in xs])
@@ -659,12 +655,11 @@ def gamma11_sum(x: float, H: int, params: Parameters) -> float:
 
 def twisted_window(params: Parameters, x1: float, k: int) -> tuple:
     """(floor(x) // 2, floor(x1)), the window x/2 < n <= x1 of Gamma_10 and type_sums,
-    once the one rule passes: k an integer 1 <= k <= d, x1 by _floor_x, x/2 <= x1 <= x."""
+    once the one rule passes: k an integer 1 <= k <= d, x1 a real x/2 <= x1 <= x
+    (check_real), floor(x1) within the sieve's cap."""
     check_int(k, "k", 1, params.d)
-    hi = _floor_x(x1, -math.inf, "x1")
-    if not params.x / 2 <= x1 <= params.x:
-        raise PreconditionError(f"need x/2 <= x1 <= x = {params.x}, got x1 = {x1}")
-    return math.floor(params.x) // 2, hi
+    x1 = check_real(x1, "x1", params.x / 2, params.x)
+    return math.floor(params.x) // 2, sieve.check_cap(math.floor(x1))
 
 
 def _twisted_sums(x1: float, hs, params: Parameters, k: int) -> list:

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddmath as dm
-from .errors import PreconditionError
-from .numerics import check_int
+from .numerics import check_int, check_real
 
 H_MAX = 10 ** 6
 A_CAP = 1.0 + 1e-12      # max |a(h) h| = max Phi / (2 pi) <= 1 / (2 pi)
@@ -65,8 +64,7 @@ class VaalerCoefficients:
 
 def phi_damping(t: float) -> float:
     """Phi(t) = pi t (1-t) cot(pi t) + t on [0, 1); Phi(0) = 1, Phi(1-) = 0."""
-    if not 0.0 <= t < 1.0:
-        raise PreconditionError(f"Phi domain is [0, 1), got {t}")
+    t = check_real(t, "t", 0, 1, "[)")
     if t == 0.0:
         return 1.0
     return math.pi * t * (1.0 - t) / math.tan(math.pi * t) + t

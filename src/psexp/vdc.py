@@ -20,6 +20,9 @@ stated factor is slightly generous and the inequality holds for every complex
 sequence, which makes it a sharp self-test of the correlation bookkeeping).
 square_out_trials runs it on 250 random unit-modulus sequences at four shift
 caps each; `psexp vdc` and `psexp suite` both run that one check.
+
+Real arguments (lam, length, a, b, theta) go through numerics.check_real and
+are used as its float; square_out_check's Q goes through numerics.check_int.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .numerics import check_int
+from .numerics import check_int, check_real
 
 _C = 1.0                    # the derivative tests' constant
 _BRACKET_SAMPLES = 1000     # sample points of a derivative bracket
@@ -51,8 +54,8 @@ class PhaseFunction:
     label: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise PreconditionError(f"need finite a < b, got ({self.a}, {self.b})")
+        self.a = check_real(self.a, "a")
+        self.b = check_real(self.b, "b", self.a, ends="()")
 
     def n_values(self) -> np.ndarray:
         return np.arange(math.floor(self.a) + 1, math.floor(self.b) + 1, dtype=np.int64)
@@ -77,21 +80,21 @@ class BoundReport:
     label: str = ""
 
 
+def _bound_args(length, lam) -> tuple:
+    """(length, lam) by check_real, lam in (0, inf) first, then length in [0, inf)."""
+    lam = check_real(lam, "lam", 0, ends="()")
+    return check_real(length, "length", 0), lam
+
+
 def second_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) sqrt(lam) + 1/sqrt(lam)); needs lam > 0."""
-    if not (lam > 0 and math.isfinite(lam)):
-        raise PreconditionError(f"second-derivative test needs lam > 0, got {lam}")
-    if not (0 <= length < math.inf):
-        raise PreconditionError(f"interval length must be finite and >= 0, got {length}")
+    length, lam = _bound_args(length, lam)
     return _C * (length * math.sqrt(lam) + 1.0 / math.sqrt(lam))
 
 
 def third_derivative_bound(length: float, lam: float) -> float:
     """C ((b-a) lam^(1/6) + lam^(-1/3)); needs lam > 0."""
-    if not (lam > 0 and math.isfinite(lam)):
-        raise PreconditionError(f"third-derivative test needs lam > 0, got {lam}")
-    if not (0 <= length < math.inf):
-        raise PreconditionError(f"interval length must be finite and >= 0, got {length}")
+    length, lam = _bound_args(length, lam)
     return _C * (length * lam ** (1.0 / 6.0) + lam ** (-1.0 / 3.0))
 
 
@@ -168,8 +171,9 @@ def square_out_trials(rng: np.random.Generator):
 
 def monomial_phase(theta: float, power: float, a: float, b: float) -> PhaseFunction:
     """f(n) = theta * n^power with exact symbolic derivatives."""
-    if not (theta != 0 and math.isfinite(theta)):
-        raise PreconditionError(f"need finite nonzero theta, got {theta}")
+    theta = check_real(theta, "theta")
+    if theta == 0:
+        raise PreconditionError(f"need nonzero theta, got {theta}")
 
     def f(n):
         return theta * n ** power
@@ -180,7 +184,9 @@ def monomial_phase(theta: float, power: float, a: float, b: float) -> PhaseFunct
     def d3(n):
         return theta * power * (power - 1.0) * (power - 2.0) * n ** (power - 3.0)
 
-    return PhaseFunction(f, a, b, d2, d3, f"{theta:g}*n^{power:g} on ({a:g},{b:g}]")
+    pf = PhaseFunction(f, a, b, d2, d3)
+    pf.label = f"{theta:g}*n^{power:g} on ({pf.a:g},{pf.b:g}]"
+    return pf
 
 
 def standard_sweep() -> list[BoundReport]:

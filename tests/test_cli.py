@@ -120,7 +120,7 @@ def test_theorem_at_a_prime_x_exits_0(tmp_path):
 def test_theorem_schedule_below_two_exits_2(tmp_path, capsys):
     out = tmp_path / "trend.csv"
     assert run(["theorem", "--x-schedule", "1,10", "--out", str(out)]) == 2
-    assert "x must be >= 2" in capsys.readouterr().err
+    assert "schedule x must be a finite real in [2, inf), got 1.0" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(PreconditionError):
         sums.theorem_trend(Parameters(x=10.0, c=1.05, gamma=0.995), [1.0, 10.0])

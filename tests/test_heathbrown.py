@@ -90,6 +90,8 @@ def test_identity_with_oversized_cutoff():
     # z beyond n^(1/J) is allowed; the identity still collapses to Lambda
     assert hb.hb_identity_value(12, 3, 12.0) == pytest.approx(0.0, abs=1e-10)
     assert hb.hb_identity_value(9, 2, 9.0) == pytest.approx(math.log(3), abs=1e-10)
+    # a z whose J-th power overflows a float is still past every n
+    assert hb.hb_identity_value(9, 3, 1e200) == hb.hb_identity_value(9, 3, 9.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,7 +118,7 @@ def test_windows_reject_out_of_range_inputs():
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_windows_reject_a_nonfinite_x(x):
     for entry in (hb.uvz_preconditions, hb.classification_map):
-        with pytest.raises(PreconditionError, match="x must be finite"):
+        with pytest.raises(PreconditionError, match=r"x must be a finite real in \[2, inf\)"):
             entry(x, 1.1)
 
 

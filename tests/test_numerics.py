@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from psexp import exponents, heathbrown, sieve, sums, vaaler, vdc
 from psexp.errors import PrecisionError, PreconditionError
-from psexp.numerics import (PHASE_CAP, T_CAP, Parameters, UnitComplex, check_height,
-                            check_int, check_n, e_of, e_of_frac_vec, frac, frac_pair,
+from psexp.numerics import (PHASE_CAP, T_CAP, Parameters, check_height, check_int,
+                            check_n, check_real, e_of, e_of_frac_vec, frac, frac_pair,
                             frac_times, phase_mod1, phase_mod1_vec, psi,
                             verify_phase_fixture, weighted_e_sum, write_json)
 
@@ -87,11 +87,6 @@ def test_e_of_quarter_turns():
     assert abs(e_of(0.25) - 1j) < 1e-15
     assert abs(e_of(0.5) + 1.0) < 1e-15
     assert e_of(0.0) == 1.0
-
-
-def test_unit_complex_rejects_off_circle():
-    with pytest.raises(PreconditionError):
-        UnitComplex(0.5, 0.5)
 
 
 @given(st.floats(min_value=-1e12, max_value=1e12,
@@ -279,6 +274,30 @@ def test_check_int_is_one_rule_with_one_message():
     for args, message in cases:
         with pytest.raises(PreconditionError) as exc:
             check_int(*args)
+        assert str(exc.value) == message
+
+
+def test_check_real_is_one_rule_with_one_message():
+    assert check_real(Fraction(1, 4), "gamma", 0, 1, "(]") == 0.25
+    assert type(check_real(np.float32(0.5), "c")) is float and check_real(3, "x") == 3.0
+    assert check_real(1.0, "gamma", 0, 1, "(]") == 1.0 and check_real(2, "x", 2) == 2.0
+    cases = [((True, "t"), "t must be a finite real in (-inf, inf), got True"),
+             ((0.0, "gamma", 0, 1, "(]"), "gamma must be a finite real in (0, 1], got 0.0"),
+             ((1.0, "t", 0, 1, "[)"), "t must be a finite real in [0, 1), got 1.0"),
+             ((0, "lam", 0, None, "()"), "lam must be a finite real in (0, inf), got 0"),
+             ((1.5, "x", None, 1), "x must be a finite real in (-inf, 1], got 1.5"),
+             ((2e6, "t", -T_CAP, T_CAP),
+              "t must be a finite real in [-1e+06, 1e+06], got 2000000.0"),
+             ((1.0, "c", 1, 28 / 19, "()"),
+              f"c must be a finite real in (1, {28 / 19!r}), got 1.0"),
+             (("0.5", "x"), "x must be a finite real in (-inf, inf), got '0.5'"),
+             ((math.nan, "x", 2), "x must be a finite real in [2, inf), got nan"),
+             ((10 ** 400, "x"), f"x must be a finite real in (-inf, inf), got {10 ** 400!r}"),
+             ((Fraction(10 ** 400, 3), "x"),
+              f"x must be a finite real in (-inf, inf), got {Fraction(10 ** 400, 3)!r}")]
+    for args, message in cases:
+        with pytest.raises(PreconditionError) as exc:
+            check_real(*args)
         assert str(exc.value) == message
 
 

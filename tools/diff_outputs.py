@@ -38,6 +38,9 @@ RUNS = (
     ["theorem", "--config", "run.cfg", "--gamma", "0.99"],
     ["region", "--grid-step", "3/500"],
     ["vaaler", "--H", "0", "--seed", "-1"],
+    ["theorem", "--gamma", "3/2"],
+    ["theorem", "--t", "2e6"],
+    ["hb", "--c", "3/2"],
 )
 CONFIG_FILE = "x=2e4\nc=1.1\n"
 
