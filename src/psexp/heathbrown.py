@@ -9,8 +9,8 @@ type_sums evaluates the resulting bilinear sums directly at desk
 scale.  Identities about exponents are checked in exact rationals; sums are
 double precision on top of the pair-arithmetic phase path.  type_sums
 gathers the (m, l) pairs of its window into one block and takes its h-sums
-from sums.weighted_h_sums, which the h-side of Gamma_10 and Gamma_11 folds
-unit by unit: {h (ml)^gamma} for every 1 <= |h| <= H from one frac_pair.
+from sums.weighted_h_sums, which the h-side of Gamma_10 and Gamma_11 folds unit
+by unit: e((ml)^gamma) once, then one complex multiply per 1 <= h <= H for +-h.
 """
 
 from __future__ import annotations

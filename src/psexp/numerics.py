@@ -14,9 +14,9 @@ must be an integer 1 <= n < 2^53 (check_n).  The documented per-phase error
 is PHASE_BUDGET = 1e-9 while |t n^c| < 2^70; the kernel stays within ~1e-12
 of mpmath while |t n^c| <= 2^53 and within ~1e-10 up to the cap (measured:
 9e-14 and 1.4e-11).  The h-loops (1 <= |h| <= H) take one pair {n^c} from
-frac_pair, with anchors sized for |t| = H, and form each {h n^c} by
-frac_times: one multiply and one floor per h, error |h| times the pair's
-error plus |h| 2^-53.
+frac_pair, with anchors sized for |t| = H, and form {h n^c} by frac_times:
+one multiply and one floor, error |h| times the pair's error plus |h|
+2^-53 (sums.weighted_h_sums steps e(h n^c) by complex multiplies from there).
 
 The package's arguments meet two rules with one message form: check_int for
 integers, check_real for real scalars (finite, in a span, used as a float),
@@ -257,16 +257,6 @@ def e_of_frac_vec(fracs: np.ndarray) -> np.ndarray:
     np.cos(ang, out=z.real)
     np.sin(ang, out=z.imag)
     return z
-
-
-def weighted_e_sum(w: np.ndarray, fracs: np.ndarray) -> complex:
-    """sum of w e(y) for real weights w, from fractional parts in [0, 1).
-
-    Two real sums of products (no complex temporaries, and no BLAS dot,
-    whose threaded reduction order would follow the thread count).
-    """
-    ang = (2.0 * math.pi) * np.asarray(fracs)
-    return complex(np.sum(w * np.cos(ang)), np.sum(w * np.sin(ang)))
 
 
 # ---------------------------------------------------------------------------

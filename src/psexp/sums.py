@@ -41,10 +41,9 @@ single power of p.  The identity then holds term by term up to a few
 roundings, which is what makes the decomposition check a meaningful 1e-8
 assertion at a million terms.  The psi-weights come from the same kernel.
 
-Per unit, weighted_h_sums forms one pair {n^gamma} = numerics.frac_pair(n,
-gamma, H) sized for the largest |h| = H; each h then costs one frac_times
-instead of a power: error |h| times the pair's plus |h| 2^-53, within
-PHASE_BUDGET (1.7e-13 against 40-digit mpmath for |h| <= 10^3).
+Per unit, weighted_h_sums forms e({n^gamma}) once from one numerics.frac_pair
+sized for the largest |h| and steps to each further |h| by one complex
+multiply, both signs from the same four real sums; its docstring has the budget.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ from . import sieve
 from .ddmath import anchor_table
 from .errors import PreconditionError
 from .numerics import (PHASE_BUDGET, T_CAP, Parameters, check_height, check_int, check_real,
-                       e_of_frac_vec, frac_pair, frac_times, phase_mod1_vec, weighted_e_sum,
-                       write_csv)
+                       e_of_frac_vec, frac_pair, frac_times, phase_mod1_vec, write_csv)
 
 BLOCK = 1 << 16
 FOLD = 1 << 22
@@ -608,14 +606,39 @@ def gamma5_schedule(params: Parameters, xs=None) -> Gamma5Schedule:
 def weighted_h_sums(n, w, hs, gamma: float, base=None) -> list:
     """[sum of w(n) e(base(n) + h n^gamma) over the block n] for each h of hs.
 
-    One {n^gamma} pair sized for the largest |h| (numerics.frac_pair) is
-    formed once; each h then costs one frac_times, so no h re-powers n.
-    base is the block's phase array {base(n)}, or None for none.
+    base is the block's phase array {base(n)}, or None for none.  u = w e(base)
+    is formed once, in place.  The heights m = |h| go up from one pair {n^gamma}
+    (numerics.frac_pair) sized for the largest: v_m = e(m y), y = {n^gamma}, is
+    v_(m-1) v_1 by one in-place complex multiply when m - 1 was the last height
+    and 1 is a height, else e(frac_times(pair, m)).  With A, B, C, D the np.sum
+    (no BLAS dot, whose order follows the thread count) of ur vr, ui vi, ur vi
+    and ui vr, F(h) = A - B + i (C + D) and F(-h) = A + B + i (D - C).  Error
+    budget: for a pair error eps, |v_1 - e(y)| <= 2 pi eps + 20 2^-53
+    (frac_times, the angle, and cos and sin to 4 ulp), and each multiply adds
+    sqrt(5) 2^-53 (Brent, Percival and Zimmermann, Math. Comp. 2007), so
+    |v_h - e(h y)| <= |h| (2 pi eps + 23 2^-53), frac_times' form: 2.6e-12 of
+    rounding at |h| = 10^3 and 2.6e-9 at T_CAP, within 2 pi PHASE_BUDGET while
+    |h| eps <= 5.8e-10.
     """
-    height = max((abs(h) for h in hs), default=0)
-    pair = frac_pair(n, gamma, height) if height else None
-    frs = (frac_times(pair, h) if h else 0.0 for h in hs)
-    return [weighted_e_sum(w, fr if base is None else np.mod(base + fr, 1.0)) for fr in frs]
+    heights = sorted({abs(h) for h in hs} - {0})
+    pair = frac_pair(n, gamma, heights[-1]) if heights else None
+    u = w if base is None else np.multiply(z := e_of_frac_vec(np.mod(base, 1.0)), w, out=z)
+    ur, ui = (u, None) if base is None else (u.real, u.imag)
+    out, v1, v = {}, None, None
+    for i, m in enumerate(heights):
+        if v1 is not None and heights[i - 1] == m - 1:  # v1 is set at i = 0, m = 1
+            np.multiply(v, v1, out=v)
+        else:
+            v = e_of_frac_vec(frac_times(pair, m))
+            v1 = v.copy() if m == 1 else v1
+        if v1 is not None and heights[-1] - m == len(heights) - 1 - i:
+            pair = None                             # only steps are left
+        a, c = np.sum(ur * v.real), np.sum(ur * v.imag)
+        b, d = (0.0, 0.0) if ui is None else (np.sum(ui * v.imag), np.sum(ui * v.real))
+        out[m], out[-m] = complex(a - b, c + d), complex(a + b, d - c)
+    if 0 in hs:
+        out[0] = complex(np.sum(ur), 0.0 if ui is None else np.sum(ui))
+    return [out[h] for h in hs]
 
 
 def _h_side(hs, gamma: float) -> SimpleNamespace:

@@ -21,7 +21,7 @@ sequence, which makes it a sharp self-test of the correlation bookkeeping).
 square_out_trials runs it on 250 random unit-modulus sequences at four shift
 caps each; `psexp vdc` and `psexp suite` both run that one check.
 
-Real arguments (lam, length, a, b, theta) go through numerics.check_real and
+Real arguments (lam, length, a, b, theta, power) go through numerics.check_real and
 are used as its float; square_out_check's Q goes through numerics.check_int.
 """
 
@@ -171,7 +171,7 @@ def square_out_trials(rng: np.random.Generator):
 
 def monomial_phase(theta: float, power: float, a: float, b: float) -> PhaseFunction:
     """f(n) = theta * n^power with exact symbolic derivatives."""
-    theta = check_real(theta, "theta")
+    theta, power = check_real(theta, "theta"), check_real(power, "power")
     if theta == 0:
         raise PreconditionError(f"need nonzero theta, got {theta}")
 

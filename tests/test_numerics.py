@@ -15,7 +15,7 @@ from psexp.errors import PrecisionError, PreconditionError
 from psexp.numerics import (PHASE_CAP, T_CAP, Parameters, check_height, check_int,
                             check_n, check_real, e_of, e_of_frac_vec, frac, frac_pair,
                             frac_times, phase_mod1, phase_mod1_vec, psi,
-                            verify_phase_fixture, weighted_e_sum, write_json)
+                            verify_phase_fixture, write_json)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,6 @@ def test_e_of_frac_vec_matches_scalar():
     for zi, fi in zip(z, fr):
         assert abs(zi - e_of(fi)) < 1e-15
     assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-15
-
-
-def test_weighted_e_sum_matches_complex_sum():
-    rng = np.random.default_rng(5)
-    fr, w = rng.uniform(0.0, 1.0, 500), rng.uniform(-1.0, 2.0, 500)
-    assert abs(weighted_e_sum(w, fr) - complex(np.sum(w * e_of_frac_vec(fr)))) < 1e-12
-    assert weighted_e_sum(np.zeros(0), np.zeros(0)) == 0j
 
 
 # ---------------------------------------------------------------------------

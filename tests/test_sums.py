@@ -681,9 +681,9 @@ def test_gamma10_is_the_sum_of_moduli():
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_h_sums_are_bitwise_the_h_outer_loop(monkeypatch, twisted):
-    # units outside and h inside: each h of the walk's h-side still adds the
-    # same unit sums in the same order as a loop over h of loops over the
-    # held window, cut into 700-integer units from a 300-integer sieve segment
+    # units outside and h inside: each h's accumulator of the walk's h-side
+    # adds the same unit sums in the same order as the held window's
+    # 700-integer units, whatever the sieve segment (300 for the walk)
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 700)
     monkeypatch.setattr(sums, "FOLD", 700)
     p = Parameters(x=2e4, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
@@ -691,19 +691,78 @@ def test_h_sums_are_bitwise_the_h_outer_loop(monkeypatch, twisted):
     hs = [0, 3, -3, 1, 7, -5]
     window = list(sieve.lambda_in_ap(10_000, 20_000, p.d, p.a))
     assert len(window) > 10
-    want = []
-    for h in hs:
-        acc = sums.ComplexAccumulator()
-        for n, w in window:
-            fr = numerics.frac_times(numerics.frac_pair(n, p.gamma_float, 7), h) if h else 0.0
-            if base is not None:
-                fr = np.mod(base(n) + fr, 1.0)
-            acc.add(numerics.weighted_e_sum(w, fr), w.size)
-        want.append(acc.value)
+    accs = [sums.ComplexAccumulator() for _ in hs]
+    for n, w in window:
+        for acc, v in zip(accs, sums.weighted_h_sums(n, w, hs, p.gamma_float,
+                                                     base and base(n))):
+            acc.add(v, w.size)
+    want = [acc.value for acc in accs]
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 300)
     got = sums._window(10_000, 20_000, p.d, p.a, sums._h_side(hs, p.gamma_float),
                        base or (lambda n: None))
     assert got == want
+
+
+def per_h_oracle(n, w, hs, gamma, base=None):
+    """The per-h loop: frac_times, e(.) and one sum over the block for each h."""
+    pair = numerics.frac_pair(n, gamma, max(abs(h) for h in hs))
+    out = []
+    for h in hs:
+        fr = numerics.frac_times(pair, h) if h else np.zeros(n.size)
+        if base is not None:
+            fr = np.mod(base + fr, 1.0)
+        out.append(complex(np.sum(w * e_of_frac_vec(fr))))
+    return out
+
+
+def h_budget(h, H):
+    """weighted_h_sums' stated |v_h - e(h y)| <= |h| (2 pi eps + 23 2^-53) per
+    term, with the pair's eps <= PHASE_BUDGET / H (frac_pair), for the kernel
+    and the oracle each; h = 0 is given the budget of |h| = 1."""
+    return 2.0 * max(abs(h), 1) * (2.0 * math.pi * numerics.PHASE_BUDGET / H + 23 * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_h_sums_keep_the_stated_budget(monkeypatch, twisted):
+    p = Parameters(x=2e6, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    n, w = next(sieve.lambda_in_ap(10 ** 6, 10 ** 6 + 20_000, 1, 0))
+    base = sums.twisted_phase(n, p, 2) if twisted else None
+    scale = float(np.sum(np.abs(w)))
+    cases = [[s * h for h in range(1, H + 1) for s in (1, -1)] for H in (1, 16, 1000)]
+    for hs in cases + [[0, 3, -3, 1, 7, -5], [2, -1, 5, 6, -6], [10 ** 5]]:
+        H = max(abs(h) for h in hs)
+        got = sums.weighted_h_sums(n, w, hs, p.gamma_float, base)
+        for h, g, o in zip(hs, got, per_h_oracle(n, w, hs, p.gamma_float, base)):
+            assert abs(g - o) <= h_budget(h, H) * scale, (hs[:4], h)
+
+    calls = []
+    counted = sums.e_of_frac_vec
+    monkeypatch.setattr(sums, "e_of_frac_vec", lambda fr: calls.append(1) or counted(fr))
+    sums.weighted_h_sums(n, w, [10 ** 5], p.gamma_float, base)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("d, a", [(3, 1), (4, 3), (5, 2)])
+@pytest.mark.parametrize("h", [2, -3])
+def test_class_h_sum_is_the_character_average_of_gamma10_terms(d, a, h):
+    # sum over n = a (d) of Lambda(n) e(t n^c + h n^g) on (x/2, x1]
+    #   = (1/d) sum_{k=1..d} e(-a k / d) weighted_lambda_expsum(x1, h, ., k)
+    p = Parameters(x=1e5, c=1.05, gamma=0.995, t=0.5, d=d, a=a)
+    lo, hi = 50_000, 90_000
+    left = sums._window(lo, hi, d, a, sums._h_side([h], p.gamma_float),
+                        lambda n: phase_mod1_vec(p.t, n, p.c_float))[0]
+    right = sum(e_of(-a * k / d) * sums.weighted_lambda_expsum(9e4, h, p, k)
+                for k in range(1, d + 1)) / d
+    # per term and side: the base phase within 2 pi PHASE_BUDGET and the h phase
+    # within half of h_budget (which counts two sides); the left side sums the
+    # class's Lambda, the right side every Lambda (d k-sums, each weighted 1/d),
+    # plus e(-a k / d) to 2^-52
+    mass = {(m, r): sum(float(np.sum(lam)) for _, lam in sieve.lambda_in_ap(lo, hi, m, r))
+            for m, r in ((d, a), (1, 0))}
+    per_term = 2.0 * math.pi * numerics.PHASE_BUDGET + h_budget(h, abs(h)) / 2
+    tol = per_term * (mass[d, a] + mass[1, 0]) + 2.0 ** -52 * mass[1, 0]
+    assert abs(left - right) <= tol
+    assert abs(left) > 100 * tol
 
 
 def count_sieves(monkeypatch):

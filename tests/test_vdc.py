@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_monomial_phase_reports_exact_derivatives():
     assert lo <= 0.3 * 2.5 * 1.5 * math.sqrt(12.0) <= hi
     with pytest.raises(PreconditionError, match="order 4 not supplied"):
         pf.bracket(4)
+
+
+def test_monomial_phase_takes_power_by_the_real_rule():
+    exact = vdc.monomial_phase(1e-3, Fraction(3, 2), 1000.0, 2000.0)
+    pf = vdc.monomial_phase(1e-3, 1.5, 1000.0, 2000.0)
+    n = np.array([1200.0, 1999.0])
+    assert exact.label == pf.label == "0.001*n^1.5 on (1000,2000]"
+    assert exact.f(n).tobytes() == pf.f(n).tobytes()
+    assert exact.d2(n).tobytes() == pf.d2(n).tobytes()
+    assert exact.d3(n).tobytes() == pf.d3(n).tobytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="power must be a finite real"):
+            vdc.monomial_phase(1e-3, bad, 1000.0, 2000.0)
 
 
 def test_phase_function_validates_interval():
