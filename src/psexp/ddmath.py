@@ -14,11 +14,16 @@ return numpy arrays (or scalars) of matching shape.  Error-free transforms:
               _split, the one Dekker split, which the anchor tables share
 
 The transcendental layer, dd_pow_int, computes n^c = 2^W exp2(f) from
-log2 n = k + log2 m with the mantissa m normalized into [sqrt(1/2), sqrt(2))
-so |z| <= 0.1716 and a 22-term odd atanh series reaches 2^-107; c k is split
-exactly into the integer W and a small f, and exp2 applies a 27-term Taylor
-series of exp on |u| <= ln(2)/2.  Powers of two round-trip exactly.  It costs
-~5 us per element.
+log2 n = k + log2 m with table-driven range reduction (Tang, ACM TOMS 15,
+1989, and 16, 1990): m in [1, 2) goes to its row m_j = 1 + j 2^-7, so that
+log2 m = log2 m_j + 2 atanh(z) / ln 2 with |z| < 2^-8 takes three pair
+terms of the odd series and a float64 tail; c k is split exactly into the
+integer W and a small f, f goes to its row 2^(j/2^8), and exp of the
+remainder, |u| < 2^-9.5, takes five pair terms and a float64 tail.  The rows
+and the series coefficients are correctly rounded pairs, read on first use
+from data/pow_tables.csv (tools/gen_pow_tables.py).  Powers of two
+round-trip exactly.  It costs ~0.3 ms per call plus ~0.42 us per element
+(2-core x86_64, numpy 2.4.6).
 
 dd_scaled_frac, the fused kernel every phase goes through, calls dd_pow_int
 only at sparse anchors n0 (n with its low s bits cleared) and reaches each n
@@ -49,7 +54,9 @@ perfect squares.
 
 from __future__ import annotations
 
+import functools
 import math
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +64,9 @@ import numpy as np
 from .errors import PreconditionError
 
 _SPLITTER = 134217729.0            # 2^27 + 1, Dekker
-_SQRT_HALF = 0.7071067811865476
 
-# ln 2 and 1/ln 2 as double-double constants (hi + lo, correctly rounded).
+# ln 2 as a double-double constant (hi + lo, correctly rounded).
 LN2_HI, LN2_LO = 0.6931471805599453, 2.3190468138462996e-17
-INV_LN2_HI, INV_LN2_LO = 1.4426950408889634, 2.0355273740931033e-17
 
 
 def two_sum(a, b):
@@ -186,67 +191,93 @@ def dd_from_int(n: np.ndarray):
 # log2 / exp2
 # ---------------------------------------------------------------------------
 
-def _inv_odd_coeffs(jmax):
-    # 1/(2j+1) as pairs, via pair division of exact integers
-    out = []
-    for j in range(jmax + 1):
-        hi, lo = dd_div(1.0, 0.0, float(2 * j + 1), 0.0)
-        out.append((float(hi), float(lo)))
-    return out
+_LOG_BITS = 7            # log2 rows m_j = 1 + j 2^-7: |z| < 2^-8
+_LOG_CARRY = 53          # rows j >= 53 hold log2 m_j - 1 and carry 1 into k
+_LOG_PAIR = 3            # terms z w^i with i < 3 in pair arithmetic, the rest in float64
+_EXP_BITS = 8            # exp2 rows 2^(j 2^-8), |j| <= 2^7: |u| < 2^-9.5
+_EXP_PAIR = 5            # terms u^i / i! with i <= 5 in pair arithmetic, the rest in float64
 
 
-def _inv_fact_coeffs(kmax):
-    out = [(1.0, 0.0), (1.0, 0.0)]
-    hi, lo = 1.0, 0.0
-    for k in range(2, kmax + 1):
-        hi, lo = dd_div(hi, lo, float(k), 0.0)
-        out.append((float(hi), float(lo)))
-    return out
+@functools.cache
+def _tables() -> dict:
+    """{name: (hi, lo) float64 arrays} of data/pow_tables.csv, read on first
+    use: correctly rounded pairs written by tools/gen_pow_tables.py, each
+    table indexed from its first row.  log2: log2(m_j) less the carry; exp2:
+    2^(j/2^8) from j = -2^7; log2_series: 2/((2i+1) ln 2); expm1_series:
+    1/(i+1)!."""
+    lines = resources.files("psexp").joinpath("data/pow_tables.csv").read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index("table,j,hi,lo") + 1:]:
+        name, _, hi, lo = line.split(",")
+        rows.setdefault(name, []).append((float.fromhex(hi), float.fromhex(lo)))
+    return {name: tuple(np.array(v).T) for name, v in rows.items()}
 
 
-_ATANH_C = _inv_odd_coeffs(21)      # z^43 / 0.1716^43 ~ 2^-109
-_EXP_C = _inv_fact_coeffs(26)       # 0.347^26/26! ~ 1e-38
+def _series(xhi, xlo, coeffs, pair):
+    """sum_i coeffs[i] x^i for the pair x: Horner in float64 on xhi for the
+    terms from i = pair on, then in pair arithmetic."""
+    tail = 0.0
+    for c in coeffs[0][:pair - 1:-1]:
+        tail = tail * xhi + c
+    shi, slo = dd_add_d(coeffs[0][pair - 1], coeffs[1][pair - 1], tail * xhi)
+    for i in range(pair - 2, -1, -1):
+        shi, slo = dd_add(*dd_mul(shi, slo, xhi, xlo), coeffs[0][i], coeffs[1][i])
+    return shi, slo
 
 
 def dd_log2_int(n):
     """log2 of positive integers (int64 array / scalar) as (k, hi, lo).
 
-    log2 n = k + (hi + lo) with k integral (float64) and |hi| <= 1/2:
-    n = m * 2^k with m in [sqrt(1/2), sqrt(2)); log(m) = 2 atanh(z),
-    z = (m-1)/(m+1).  Both m-1 (Sterbenz) and m+1 (two_sum) are exact.
+    log2 n = k + (hi + lo) with k integral (float64) and |hi| <= 0.51:
+    n = m 2^(k - carry) with m in [1, 2) and row j = floor((m - 1) 2^7) of
+    the table, m_j = 1 + j 2^-7, log2 m = log2 m_j + 2 atanh(z) / ln 2 with
+    z = (m - m_j)/(m + m_j), |z| < 2^-8.  m - m_j is exact (Sterbenz) and
+    m + m_j an exact pair (two_sum), and z is their quotient to ~2^-105 by
+    one exact residual.  The series in w = z^2 keeps z, z w and z w^2 in
+    pair arithmetic and z w^3 .. z w^6 in float64 (z w^3 < 2^-56, so its
+    rounding stays below 2^-109); the first term dropped is below 2^-122.
+    Rows from _LOG_CARRY on hold log2 m_j - 1 and add 1 to k.
     """
     nf = np.asarray(n, dtype=np.float64)
-    m, k = np.frexp(nf)                      # m in [0.5, 1)
-    shift = m < _SQRT_HALF
-    m = np.where(shift, 2.0 * m, m)          # exact scaling
-    k = (k - shift).astype(np.float64)
-
-    num_hi, num_lo = m - 1.0, np.zeros_like(m)
-    den_hi, den_lo = two_sum(m, 1.0)
-    zhi, zlo = dd_div(num_hi, num_lo, den_hi, den_lo)
-    z2hi, z2lo = dd_mul(zhi, zlo, zhi, zlo)
-
-    phi, plo = np.full_like(m, _ATANH_C[-1][0]), np.full_like(m, _ATANH_C[-1][1])
-    for chi, clo in _ATANH_C[-2::-1]:
-        phi, plo = dd_mul(phi, plo, z2hi, z2lo)
-        phi, plo = dd_add(phi, plo, chi, clo)
-    lnm_hi, lnm_lo = dd_mul(zhi, zlo, phi, plo)
-    lnm_hi, lnm_lo = 2.0 * lnm_hi, 2.0 * lnm_lo          # exact
-    lg_hi, lg_lo = dd_mul(lnm_hi, lnm_lo, INV_LN2_HI, INV_LN2_LO)
-    return (k, lg_hi, lg_lo)
+    m, k = np.frexp(nf)
+    m = 2.0 * m                                       # [1, 2), exact
+    j = ((m - 1.0) * 2.0 ** _LOG_BITS).astype(np.intp)
+    mj = 1.0 + j * 2.0 ** -_LOG_BITS
+    d = m - mj                                        # exact
+    shi, slo = two_sum(m, mj)
+    q = d / shi
+    p, e = two_prod(q, shi)
+    zhi, zlo = quick_two_sum(q, (((d - p) - e) - q * slo) / shi)
+    whi, wlo = dd_mul(zhi, zlo, zhi, zlo)
+    tables = _tables()
+    lhi, llo = dd_mul(zhi, zlo, *_series(whi, wlo, tables["log2_series"], _LOG_PAIR))
+    thi, tlo = tables["log2"]
+    lg_hi, lg_lo = dd_add(thi[j], tlo[j], lhi, llo)
+    return (k - 1 + (j >= _LOG_CARRY)).astype(np.float64), lg_hi, lg_lo
 
 
 def dd_exp2(whi, wlo):
-    """2^w for a pair w; |w| up to ~1000.  Exact when w is an integer pair."""
-    W = np.rint(whi)
-    fhi, flo = dd_add_d(whi, wlo, -W)        # |f| <= 0.5 + eps
-    uhi, ulo = dd_mul(fhi, flo, LN2_HI, LN2_LO)
+    """2^w for a pair w; |w| up to ~1000.  Exact when w is an integer pair.
 
-    ehi = np.full_like(np.asarray(whi, dtype=np.float64), _EXP_C[-1][0])
-    elo = np.full_like(ehi, _EXP_C[-1][1])
-    for chi, clo in _EXP_C[-2::-1]:
-        ehi, elo = dd_mul(ehi, elo, uhi, ulo)
-        ehi, elo = dd_add(ehi, elo, chi, clo)
+    w = W + j 2^-8 + r with W and j integers, |j| <= 2^7 and |r| <= 2^-9
+    exact (Sterbenz), and 2^w = 2^W (T + T (exp(u) - 1)) with T = 2^(j/2^8)
+    the table's correctly rounded pair (1 at j = 0) and u = r ln 2,
+    |u| < 2^-9.5.  exp(u) - 1 = u sum u^i / (i+1)! keeps u .. u^5/5! in pair
+    arithmetic and u^6/6! .. u^9/9! in float64 (u^6/6! < 2^-66, so its
+    rounding stays below 2^-118); the first term dropped is below 2^-116.
+    T (exp(u) - 1) is ~2^-9.5 T, so its rounding is negligible, and the
+    result carries T's rounding and the final sum's, ~2^-105.3 at worst.
+    """
+    W = np.rint(whi)
+    fhi, flo = dd_add_d(whi, wlo, -W)                 # |f| <= 0.5 + eps
+    j = np.rint(fhi * 2.0 ** _EXP_BITS)
+    rhi, rlo = quick_two_sum(fhi - j * 2.0 ** -_EXP_BITS, flo)
+    uhi, ulo = dd_mul(rhi, rlo, LN2_HI, LN2_LO)
+    row = j.astype(np.intp) + (1 << (_EXP_BITS - 1))
+    tables = _tables()
+    thi, tlo = (v[row] for v in tables["exp2"])
+    mhi, mlo = dd_mul(uhi, ulo, *_series(uhi, ulo, tables["expm1_series"], _EXP_PAIR))
+    ehi, elo = dd_add(thi, tlo, *dd_mul(thi, tlo, mhi, mlo))        # T + T (exp(u) - 1)
     Wi = W.astype(np.int64)
     return np.ldexp(ehi, Wi), np.ldexp(elo, Wi)          # exact scaling
 
@@ -270,9 +301,17 @@ def dd_pow_int(n, c):
     Computed as 2^W * exp2(f) with c log2 n = W + f, W an integer: c k is an
     exact pair (two_prod), so W comes off before anything is rounded at the
     scale of c log2 n (up to ~70), and the result keeps the pair's relative
-    accuracy, ~2^-104, up to the 2^70 phase cap.  c = 1 and c = 2
-    short-circuit to exact pairs so that degenerate parameter choices stay
-    exact, and c = 1/2 to dd_sqrt_int, exact at perfect squares.
+    accuracy up to the 2^70 phase cap.  c = 1 and c = 2 short-circuit to
+    exact pairs so that degenerate parameter choices stay exact, and c = 1/2
+    to dd_sqrt_int, exact at perfect squares.
+
+    Error budget, ~2^-104 relative: log2 m to ~2^-106.5 (|hi| <= 0.51), the
+    roundings of f (|f| <= 1.5) at ~2^-106 each, both times ln 2 in the
+    result, and exp2's ~2^-105.3.  Measured against mpmath at 60 digits on
+    the 8,712 points of tests/test_ddmath.py (each bit length 1 .. 52 and
+    the edges of every log2 row, at eight c from 0.1 to 1.999): worst
+    2^-104.97, which the 47-step series kernel these tables replaced also
+    read on the same points.
     """
     if c == 1.0:
         return dd_from_int(np.asarray(n, dtype=np.int64))

@@ -610,7 +610,8 @@ def weighted_h_sums(n, w, hs, gamma: float, base=None) -> list:
     is formed once, in place.  The heights m = |h| go up from one pair {n^gamma}
     (numerics.frac_pair) sized for the largest: v_m = e(m y), y = {n^gamma}, is
     v_(m-1) v_1 by one in-place complex multiply when m - 1 was the last height
-    and 1 is a height, else e(frac_times(pair, m)).  With A, B, C, D the np.sum
+    and 1 is a height, else e(frac_times(pair, m)); the pair goes before the
+    e(.) after which only steps are left.  With A, B, C, D the np.sum
     (no BLAS dot, whose order follows the thread count) of ur vr, ui vi, ur vi
     and ui vr, F(h) = A - B + i (C + D) and F(-h) = A + B + i (D - C).  Error
     budget: for a pair error eps, |v_1 - e(y)| <= 2 pi eps + 20 2^-53
@@ -629,10 +630,12 @@ def weighted_h_sums(n, w, hs, gamma: float, base=None) -> list:
         if v1 is not None and heights[i - 1] == m - 1:  # v1 is set at i = 0, m = 1
             np.multiply(v, v1, out=v)
         else:
-            v = e_of_frac_vec(frac_times(pair, m))
+            y = frac_times(pair, m)
+            if heights[0] == 1 and heights[-1] - m == len(heights) - 1 - i:
+                pair = None                         # only steps are left
+            v = e_of_frac_vec(y)
+            del y
             v1 = v.copy() if m == 1 else v1
-        if v1 is not None and heights[-1] - m == len(heights) - 1 - i:
-            pair = None                             # only steps are left
         a, c = np.sum(ur * v.real), np.sum(ur * v.imag)
         b, d = (0.0, 0.0) if ui is None else (np.sum(ui * v.imag), np.sum(ui * v.real))
         out[m], out[-m] = complex(a - b, c + d), complex(a + b, d - c)

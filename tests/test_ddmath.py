@@ -1,7 +1,11 @@
-"""The fused anchored kernel dd_scaled_frac against dd_pow_int and mpmath."""
+"""The fused anchored kernel dd_scaled_frac against dd_pow_int, and dd_pow_int and its
+tables against mpmath."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -381,3 +385,95 @@ def test_a_wide_n_moves_no_other_bits_and_stays_accurate_near_2_52(c, t):
     assert np.max(circle_gap(pair, oracle(far, c, t))) <= 1e-12
     for i in (0, 100, far.size - 1):
         assert mp_gap(far[i], c, t, (pair[0][i], pair[1][i])) <= 1e-12
+
+
+POW_CS = (0.1, 0.75, 0.9, 0.995, 1.05, 1.45, 1.9, 1.999)
+
+
+def pow_sample():
+    """Each bit length 1 .. 52 (its ends and two n between), and each log2 row's
+    mantissa m_j = 1 + j 2^-7 with its neighbours n +- 1, as 2^s (2^7 + j) for
+    s = 0, 20 and 45; at s = 45, n has 53 bits and n +- 1 is m_j +- 1 ulp."""
+    rng = np.random.default_rng(27)
+    ns = [v for L in range(1, 53)
+          for v in (2 ** (L - 1), 2 ** L - 1, *rng.integers(2 ** (L - 1), 2 ** L, 2).tolist())]
+    rows = np.arange(2 ** dm._LOG_BITS, 2 ** (dm._LOG_BITS + 1), dtype=np.int64)
+    for s in (0, 20, 45):
+        ns += [*(rows << s), *((rows << s) + 1), *((rows << s) - 1)]
+    return np.unique(np.array(ns, dtype=np.int64))
+
+
+def worst_pow_error(n, c):
+    """max over n of |dd_pow_int(n, c) - n^c| / n^c against mpmath at 60 digits."""
+    hi, lo = dm.dd_pow_int(n, c)
+    with mpmath.workdps(60):
+        return max(float(abs((mpmath.mpf(float(a)) + float(b)) / mpmath.mpf(int(v)) ** c - 1))
+                   for v, a, b in zip(n, hi, lo))
+
+
+@pytest.mark.parametrize("c", POW_CS)
+def test_pow_int_keeps_its_budget_at_every_bit_length_and_table_edge(c):
+    assert worst_pow_error(pow_sample(), c) <= 2.0 ** -104
+
+
+def test_exp2_keeps_its_budget_at_the_row_ties():
+    # f = (i +- 1/2) / 2^8, where rint picks the row, and one ulp to either side,
+    # under integer offsets W and with a lo part
+    ties = (np.arange(-2 ** 7, 2 ** 7 + 2) - 0.5) / 2 ** dm._EXP_BITS
+    f = np.concatenate([ties, np.nextafter(ties, 1.0), np.nextafter(ties, -1.0)])
+    with mpmath.workdps(60):
+        for W in (-3.0, 0.0, 5.0):
+            for lo in (0.0, 2.0 ** -60, -2.0 ** -60):
+                whi, wlo = dm.quick_two_sum(W + f, lo)
+                hi, el = dm.dd_exp2(whi, wlo)
+                for a, b, x, y in zip(whi, wlo, hi, el):
+                    exact = mpmath.mpf(2) ** (mpmath.mpf(float(a)) + float(b))
+                    assert abs((mpmath.mpf(float(x)) + float(y)) / exact - 1) <= 2.0 ** -104
+
+
+def test_powers_of_two_are_exact():
+    k = np.arange(53)
+    lk, lhi, llo = dm.dd_log2_int(2 ** k)
+    assert np.array_equal(lk, k) and not lhi.any() and not llo.any()
+    w = np.arange(-60.0, 61.0)
+    hi, lo = dm.dd_exp2(w, np.zeros_like(w))
+    assert np.array_equal(hi, 2.0 ** w) and not lo.any()
+    for c, step in ((0.75, 4), (1.25, 4), (1.5, 2), (0.375, 8), (1.875, 8)):
+        k = np.arange(0, 53, step)
+        hi, lo = dm.dd_pow_int(2 ** k, c)
+        assert np.array_equal(hi, 2.0 ** (c * k)) and not lo.any()
+
+
+def _gen_pow_tables():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_pow_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_pow_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pow_tables_are_correctly_rounded_and_reproducible():
+    gen = _gen_pow_tables()
+    shipped = resources.files("psexp").joinpath("data/pow_tables.csv").read_bytes()
+    assert gen.render().encode() == shipped
+    assert (gen.LOG_BITS, gen.LOG_CARRY, gen.EXP_BITS) == (dm._LOG_BITS, dm._LOG_CARRY,
+                                                          dm._EXP_BITS)
+    tables, half = dm._tables(), 2 ** (dm._EXP_BITS - 1)
+    with mpmath.workdps(60):
+        want = {
+            "log2": [mpmath.log(1 + mpmath.mpf(j) / 2 ** dm._LOG_BITS, 2) - (j >= dm._LOG_CARRY)
+                     for j in range(2 ** dm._LOG_BITS)],
+            "exp2": [mpmath.mpf(2) ** (mpmath.mpf(j) / 2 ** dm._EXP_BITS)
+                     for j in range(-half, half + 1)],
+            "log2_series": [2 / ((2 * i + 1) * mpmath.ln(2))
+                            for i in range(tables["log2_series"][0].size)],
+            "expm1_series": [1 / mpmath.factorial(i + 1)
+                             for i in range(tables["expm1_series"][0].size)]}
+        assert tables.keys() == want.keys()
+        for name, values in want.items():
+            hi, lo = tables[name]
+            assert hi.size == len(values)
+            for a, b, v in zip(hi, lo, values):
+                assert abs(mpmath.mpf(float(a)) + float(b) - v) <= 2.0 ** -106 * abs(v)
+    assert (tables["log2"][0][0], tables["log2"][1][0]) == (0.0, 0.0)
+    assert (tables["exp2"][0][half], tables["exp2"][1][half]) == (1.0, 0.0)

@@ -742,6 +742,22 @@ def test_h_sums_keep_the_stated_budget(monkeypatch, twisted):
     assert len(calls) <= 2
 
 
+def test_h_sums_release_the_pair_before_e():
+    # the Gamma_10 call of the hsum benchmark, 37,010 terms on (5e5, 1e6] with H = 8:
+    # holding the {n^gamma} pair, or {n^gamma} itself, through the first e(.) and
+    # the first sums peaks at 3.41 MiB; dropping both peaks at 3.17 MiB
+    import tracemalloc
+
+    p = Parameters(x=1e6, c=1.05, gamma=0.995, t=0.5, d=3, a=1)
+    tracemalloc.start()
+    try:
+        sums.gamma10_sum(p.x, 8, p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * 2 ** 20
+
+
 @pytest.mark.parametrize("d, a", [(3, 1), (4, 3), (5, 2)])
 @pytest.mark.parametrize("h", [2, -3])
 def test_class_h_sum_is_the_character_average_of_gamma10_terms(d, a, h):

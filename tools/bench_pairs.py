@@ -35,13 +35,13 @@ import sys
 import tempfile
 import time
 
-PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 3), ("hsum", 0, 10),
-         ("hsum", 1, 3))
+PAIRS = (("trend", 0, 10), ("trend", 1, 3), ("decomp20", 0, 10), ("decomp20", 1, 3),
+         ("hsum", 0, 3), ("hsum", 1, 3))
 SECONDS = 40
 SCALE = ((["theorem", "--x-schedule", "1e5:1e8"], 6), (["theorem", "--x-schedule", "1e5:1e9"], 1),
          (["theorem", "--x-schedule", "1e5:1e10"], 1), (["gamma5", "--x", "1e8"], 1))
 SETUP_PAIRS = 20
-CLAIM = "hsum.wall_s"
+CLAIM = "decomp20.wall_s"
 _SCALE_RUN = """
 import resource, sys, time
 from psexp import cli
